@@ -229,7 +229,7 @@ let synth_seconds_sum summary =
    totals). Returns [(ok_for_ci, record)]. *)
 let campaign_round ~plan ~sequential ~cores jobs_n =
   let cons_before = Formula.cons_stats () in
-  let cache_before = Ar_automaton.cache_stats () in
+  let fill_before = Ar_automaton.counters () in
   let metrics = Registry.create () in
   let seed_live_before = live_words () in
   let pooled =
@@ -239,7 +239,7 @@ let campaign_round ~plan ~sequential ~cores jobs_n =
      engine keeps alive until the merge — measure it before rendering *)
   let seed_live = live_words () - seed_live_before in
   let cons_after = Formula.cons_stats () in
-  let cache_after = Ar_automaton.cache_stats () in
+  let fill_after = Ar_automaton.counters () in
   let verdicts_identical =
     Verif.Campaign.verdicts sequential = Verif.Campaign.verdicts pooled
   in
@@ -364,14 +364,13 @@ let campaign_round ~plan ~sequential ~cores jobs_n =
            Json.int
              (cons_after.Formula.shard_contention
              - cons_before.Formula.shard_contention) );
-         ( "automaton_cache_hits",
+         ( "table_fill_hits",
+           Json.int (fill_after.Ar_automaton.hits - fill_before.Ar_automaton.hits)
+         );
+         ( "table_fill_misses",
            Json.int
-             (cache_after.Ar_automaton.cache_hits
-             - cache_before.Ar_automaton.cache_hits) );
-         ( "automaton_cache_misses",
-           Json.int
-             (cache_after.Ar_automaton.cache_misses
-             - cache_before.Ar_automaton.cache_misses) );
+             (fill_after.Ar_automaton.misses - fill_before.Ar_automaton.misses)
+         );
          ("stage_simulate_seconds", Json.float (stage Registry.Simulate));
          ("stage_check_seconds", Json.float (stage Registry.Check));
          ("stage_synthesize_seconds", Json.float (stage Registry.Synthesize));
@@ -641,43 +640,58 @@ let run_checker_bench () =
           agree := false)
       engine_checkers
   done;
-  (* warm each path (transition cache, allocator, promotions), then time *)
+  (* warm each path (table rows, allocator), then time *)
   let _, legacy_step = build_legacy () in
   let _, plan_step = build_checker Checker.Otf in
   let _, explicit_step = build_checker Checker.Explicit in
   let _, il_step = build_checker Checker.Il in
-  let _, hybrid_step = build_checker Checker.Hybrid in
-  let _, auto_step = build_checker Checker.Auto in
   ignore (time_triggers legacy_step warmup);
   ignore (time_triggers plan_step warmup);
   ignore (time_triggers explicit_step warmup);
   ignore (time_triggers il_step warmup);
-  ignore (time_triggers hybrid_step warmup);
-  ignore (time_triggers auto_step warmup);
-  let legacy_seconds = time_triggers legacy_step triggers in
-  let cache_before = Transition_cache.stats () in
-  let plan_seconds = time_triggers plan_step triggers in
-  let cache_after = Transition_cache.stats () in
-  let explicit_seconds = time_triggers explicit_step triggers in
-  let il_seconds = time_triggers il_step triggers in
-  let hybrid_seconds = time_triggers hybrid_step triggers in
-  let auto_seconds = time_triggers auto_step triggers in
+  (* all three engines step the same table code, so the default-engine
+     gate compares near-equal rates: time three interleaved rounds and
+     keep each path's best, so one noisy round cannot decide it *)
+  let best = Array.make 4 infinity in
+  let fill_before = Ar_automaton.counters () in
+  let fill_after = ref fill_before in
+  for round = 1 to 3 do
+    List.iteri
+      (fun i step ->
+        let seconds = time_triggers step triggers in
+        (* every engine feeds the fill counters: read them right after
+           the first on-the-fly round *)
+        if round = 1 && i = 1 then fill_after := Ar_automaton.counters ();
+        best.(i) <- Float.min best.(i) seconds)
+      [ legacy_step; plan_step; explicit_step; il_step ]
+  done;
+  let fill_after = !fill_after in
+  let legacy_seconds = best.(0)
+  and plan_seconds = best.(1)
+  and explicit_seconds = best.(2)
+  and il_seconds = best.(3) in
   let tps seconds =
     if seconds > 0.0 then float_of_int triggers /. seconds else 0.0
   in
   let legacy_tps = tps legacy_seconds
   and plan_tps = tps plan_seconds
   and explicit_tps = tps explicit_seconds
-  and il_tps = tps il_seconds
-  and hybrid_tps = tps hybrid_seconds
-  and auto_tps = tps auto_seconds in
+  and il_tps = tps il_seconds in
+  let default_tps =
+    match Sctc.Engine.default with
+    | Otf -> plan_tps
+    | Explicit -> explicit_tps
+    | Il -> il_tps
+  in
   let speedup = if legacy_tps > 0.0 then plan_tps /. legacy_tps else 0.0 in
-  (* the tentpole claim: one default engine at least as fast as both
-     fixed choices, within a 5% noise allowance *)
-  let auto_dominates = auto_tps >= 0.95 *. Float.max plan_tps explicit_tps in
-  let hits = cache_after.Transition_cache.hits - cache_before.Transition_cache.hits in
+  (* the default engine is at least as fast as both fixed choices, within
+     a 5% noise allowance *)
+  let default_dominates =
+    default_tps >= 0.95 *. Float.max plan_tps explicit_tps
+  in
+  let hits = fill_after.Ar_automaton.hits - fill_before.Ar_automaton.hits in
   let misses =
-    cache_after.Transition_cache.misses - cache_before.Transition_cache.misses
+    fill_after.Ar_automaton.misses - fill_before.Ar_automaton.misses
   in
   let hit_rate =
     if hits + misses > 0 then
@@ -694,13 +708,12 @@ let run_checker_bench () =
   Printf.printf "  %-28s %12.0f triggers/s  (%.3fs)\n"
     "compiled plan (explicit)" explicit_tps explicit_seconds;
   Printf.printf "  %-28s %12.0f triggers/s  (%.3fs)\n"
-    "compiled plan (il tables)" il_tps il_seconds;
-  Printf.printf "  %-28s %12.0f triggers/s  (%.3fs)\n"
-    "compiled plan (hybrid)" hybrid_tps hybrid_seconds;
-  Printf.printf "  %-28s %12.0f triggers/s  (%.3fs)  dominates: %b\n"
-    "compiled plan (auto)" auto_tps auto_seconds auto_dominates;
+    "compiled plan (il)" il_tps il_seconds;
+  Printf.printf "  default engine (%s) dominates: %b\n"
+    (Sctc.Engine.to_string Sctc.Engine.default)
+    default_dominates;
   Printf.printf
-    "  progression cache: %d hits, %d misses (steady-state hit rate %.4f)\n"
+    "  on-the-fly table fill: %d hits, %d misses (steady-state hit rate %.4f)\n"
     hits misses hit_rate;
   Printf.printf "  per-step verdicts identical to reference: %b\n" !agree;
   let module Json = Sctc.Trace.Json in
@@ -717,9 +730,8 @@ let run_checker_bench () =
          ("plan_tps", Json.float plan_tps);
          ("explicit_tps", Json.float explicit_tps);
          ("il_tps", Json.float il_tps);
-         ("hybrid_tps", Json.float hybrid_tps);
-         ("auto_tps", Json.float auto_tps);
-         ("auto_dominates", Json.bool auto_dominates);
+         ("default_engine", Json.string (Sctc.Engine.to_string Sctc.Engine.default));
+         ("default_dominates", Json.bool default_dominates);
          ("speedup", Json.float speedup);
          ("prog_cache_hits", Json.int hits);
          ("prog_cache_misses", Json.int misses);
@@ -731,7 +743,7 @@ let run_checker_bench () =
      bar is set below the documented steady-state speedup so a loaded
      runner cannot flake it; and the default engine must dominate both
      fixed choices (within the 5% noise allowance above) *)
-  !agree && speedup >= 2.0 && auto_dominates
+  !agree && speedup >= 2.0 && default_dominates
 
 (* ------------------------------------------------------------------ *)
 (* Simulate: bytecode VM vs tree-walking interpreter on the EEE model  *)
@@ -1050,7 +1062,7 @@ let run_ablation () =
           let t2 = Unix.gettimeofday () in
           let states =
             match engine with
-            | Checker.Otf | Checker.Hybrid | Checker.Auto -> "-"
+            | Checker.Otf -> "-"
             | Checker.Explicit | Checker.Il ->
               string_of_int
                 (Ar_automaton.num_states

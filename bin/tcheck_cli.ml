@@ -29,14 +29,9 @@ let backend_conv =
 
 let engine_conv =
   let parse s =
-    match Sctc.Engine.of_string s with
-    | Some engine -> Ok engine
-    | None ->
-      Error
-        (`Msg
-           (Printf.sprintf "expected one of %s"
-              (String.concat ", "
-                 (List.map Sctc.Engine.to_string Sctc.Engine.all))))
+    match Sctc.Engine.of_string_exn s with
+    | engine -> Ok engine
+    | exception Invalid_argument msg -> Error (`Msg msg)
   in
   Arg.conv
     ( parse,
@@ -45,12 +40,11 @@ let engine_conv =
 
 let engine_arg =
   let doc =
-    "Monitor synthesis engine: $(b,otf) (on-the-fly progression), \
-     $(b,explicit) (pre-synthesized AR-automaton), $(b,il) (automaton \
-     through the IL form, compiled guard tables), $(b,hybrid) \
-     (on-the-fly with hot residuals promoted to compiled tables), or \
-     $(b,auto) (explicit when synthesis is cheap, hybrid otherwise; the \
-     default). Verdicts are identical across engines"
+    "Monitor engine, deciding how each property's AR-automaton table is \
+     filled: $(b,otf) (on first visit, by progression; the default), \
+     $(b,explicit) (eagerly, by explicit synthesis) or $(b,il) (explicit, \
+     round-tripped through the IL text form, rows from its guards). \
+     Verdicts are identical across engines"
   in
   Arg.(
     value

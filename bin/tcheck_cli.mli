@@ -20,11 +20,12 @@ val backend_conv : Minic.Exec.kind Cmdliner.Arg.conv
 (** [interp]/[vm]/[auto] ({!Minic.Exec.of_string}). *)
 
 val engine_conv : Sctc.Engine.t Cmdliner.Arg.conv
-(** [otf]/[explicit]/[il]/[hybrid]/[auto] ({!Sctc.Engine.of_string}). *)
+(** [otf]/[explicit]/[il] ({!Sctc.Engine.of_string_exn}; an unknown name
+    fails with its message, which lists the known engines). *)
 
 val engine_arg : Sctc.Engine.t Cmdliner.Term.t
 (** The [--engine] option over {!engine_conv}, defaulting to
-    {!Sctc.Engine.default} ([auto]). *)
+    {!Sctc.Engine.default} ([otf]). *)
 
 val prop_conv : (string * string) Cmdliner.Arg.conv
 (** [NAME=EXPR] proposition definitions ([--prop]). *)

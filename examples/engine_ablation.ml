@@ -1,13 +1,12 @@
 (* Ablation of SCTC's property-checking engines (Sctc.Engine.all) on one
-   property:
+   property. All three step the same AR-automaton table and differ only in
+   how it is filled:
 
-   - otf: on-the-fly formula progression (no synthesis cost, rewriting per
-     step through the transition cache)
-   - explicit: AR-automaton (synthesis cost up front, table lookups per step)
-   - il: explicit automaton round-tripped through the textual IL and
-     compiled to mask-indexed guard tables
-   - hybrid: starts on-the-fly, promotes hot residuals to compiled tables
-   - auto: explicit under the state budget, hybrid beyond (the default)
+   - otf: on first visit, by formula progression (no synthesis cost; the
+     default)
+   - explicit: eagerly, by explicit synthesis (cost up front)
+   - il: explicit, round-tripped through the textual IL, rows filled from
+     its guards
 
    The paper's TB-100000 column shows verification time dominated by
    AR-automaton generation for large time bounds; this example reproduces

@@ -8,7 +8,7 @@
     form back (round-trip stable), so IL files can be stored next to a
     design and re-loaded without re-synthesis. *)
 
-type kind = Accept | Reject | Pend
+type kind = Ar_automaton.state_kind = Accept | Reject | Pend
 
 type transition = {
   guard : Cube.t list;  (** disjunction of cubes over the proposition order *)
@@ -26,48 +26,25 @@ type t = {
 
 val of_automaton : name:string -> Ar_automaton.t -> t
 (** Guards are minimized cube covers of the assignment sets per successor.
-    Accept/Reject states get no outgoing transitions (they are absorbing). *)
+    Accept/Reject states get no outgoing transitions (they are absorbing).
+    @raise Invalid_argument unless the automaton is
+    {!Ar_automaton.complete}. *)
 
 val next : t -> int -> int -> int
 (** [next il state mask] follows the transition whose guard covers [mask]
     by scanning the guard cubes in order; absorbing states return
     themselves. This is the reference semantics — monitors step through
-    the compiled {!Table} instead, and the two are differentially tested
-    against each other.
+    the {!to_automaton} table instead, and the two are differentially
+    tested against each other.
     @raise Invalid_argument if no guard matches (malformed IL); the
     message names the automaton and spells the valuation out as a
     proposition assignment ([p=0 q=1 …]), not just the raw mask. *)
 
-(** Mask-indexed successor tables compiled from guard lists — the hot-path
-    form of {!next}. Width thresholds are shared with [Transition_cache]:
-    states over ≤[max_dense_props] propositions get an eagerly filled
-    dense array (one array read per step), widths up to
-    [max_cached_props] a lazily filled hash over the guard scan, and
-    anything wider falls back to computing per step. *)
-module Table : sig
-  type t
-
-  val of_automaton : name:string -> Ar_automaton.t -> t
-  (** Compile directly from an explicit automaton, skipping cube covers
-      entirely (the automaton's delta is already mask-indexed). Used by
-      the hybrid engine when promoting a hot residual. *)
-
-  val next : t -> int -> int -> int
-  (** Same contract (and same missing-guard diagnostics) as {!Il.next}. *)
-
-  val name : t -> string
-  val props : t -> string array
-  val initial : t -> int
-
-  val num_states : t -> int
-
-  val dense_states : t -> int
-  (** How many states compiled to the dense fast path (introspection for
-      tests and bench tables). *)
-end
-
-val compile : t -> Table.t
-(** Compile this IL description's guard lists into a {!Table}. *)
+val to_automaton : t -> Ar_automaton.t
+(** Import as a table whose rows are filled on demand from the guards
+    (one {!next} scan per (state, mask), then a row lookup), so an
+    imported monitor steps at table speed. {!next}'s missing-guard
+    error surfaces from {!Ar_automaton.next}. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -1,289 +1,66 @@
-type formula_state = {
-  initial : Formula.t;
-  mutable node : Transition_cache.node; (* current residual obligation *)
-  mutable sel : int array; (* node props position -> monitor support slot *)
-  views : (int, Transition_cache.node * int array) Hashtbl.t;
-      (* residual formula id -> (node, sel); per-monitor, so cycles through
-         the reachable obligations re-derive the slot mapping once *)
-}
-
-(* A hybrid monitor starts on-the-fly and, once one residual obligation
-   has absorbed [h_promote_after] steps, promotes it to an explicit
-   automaton stepped through a compiled [Il.Table]. The promoted
-   automaton's initial state IS the hot residual, so promotion between
-   two steps never changes any verdict. Synthesis failure ([Too_large],
-   or more propositions than the explicit engine supports) leaves the
-   monitor on-the-fly for good. *)
-type hybrid_mode =
-  | H_formula of formula_state
-  | H_table of {
-      automaton : Ar_automaton.t;
-      table : Il.Table.t;
-      sel : int array; (* automaton props position -> monitor support slot *)
-      mutable state : int;
-    }
-
-type hybrid_state = {
-  h_initial : Formula.t;
-  h_max_states : int;
-  h_promote_after : int;
-  h_visits : (int, int) Hashtbl.t; (* residual formula hash -> steps from it *)
-  mutable h_mode : hybrid_mode;
-}
-
-type engine =
-  | Formula_engine of formula_state
-  | Automaton_engine of { automaton : Ar_automaton.t; mutable state : int }
-  | Il_engine of { il : Il.t; table : Il.Table.t; mutable state : int }
-  | Hybrid_engine of hybrid_state
-
 type t = {
   m_name : string;
-  engine : engine;
-  support : string array; (* proposition names, bitmask order for explicit *)
-  samplers : (unit -> bool) array;
-  samples : bool array; (* scratch for the self-sampling [step] path *)
+  table : Ar_automaton.t;
+  samplers : (unit -> bool) array; (* slot [i] samples mask bit [i] *)
+  mutable state : int;
   mutable step_count : int;
   mutable last_verdict : Verdict.t;
 }
 
-let resolve_support ~binding support =
-  Array.map (fun name -> binding name) support
-
-let make name engine support binding =
+let of_automaton ~name table ~binding =
+  let state = Ar_automaton.initial table in
   {
     m_name = name;
-    engine;
-    support;
-    samplers = resolve_support ~binding support;
-    samples = Array.make (Array.length support) false;
+    table;
+    samplers = Array.map binding (Ar_automaton.props table);
+    state;
     step_count = 0;
-    last_verdict = Verdict.Pending;
+    last_verdict = Ar_automaton.verdict table state;
   }
 
-let automaton_verdict automaton state =
-  match Ar_automaton.kind automaton state with
-  | Ar_automaton.Accept -> Verdict.True
-  | Ar_automaton.Reject -> Verdict.False
-  | Ar_automaton.Pend -> Verdict.Pending
-
-let engine_verdict = function
-  | Formula_engine e -> Progression.verdict (Transition_cache.formula e.node)
-  | Automaton_engine e -> automaton_verdict e.automaton e.state
-  | Il_engine e -> (
-    match e.il.Il.states.(e.state).Il.kind with
-    | Il.Accept -> Verdict.True
-    | Il.Reject -> Verdict.False
-    | Il.Pend -> Verdict.Pending)
-  | Hybrid_engine h -> (
-    match h.h_mode with
-    | H_formula e -> Progression.verdict (Transition_cache.formula e.node)
-    | H_table e -> automaton_verdict e.automaton e.state)
-
-(* a residual obligation's support is a subset of the initial formula's,
-   so every node proposition resolves to a monitor support slot *)
-let slot_of_support support name =
-  let rec find i =
-    if i >= Array.length support then
-      invalid_arg ("Monitor: proposition not in support: " ^ name)
-    else if String.equal support.(i) name then i
-    else find (i + 1)
-  in
-  find 0
-
-let view_of support views formula =
-  match Hashtbl.find_opt views (Formula.hash formula) with
-  | Some view -> view
-  | None ->
-    let node = Transition_cache.node formula in
-    let sel =
-      Array.map (slot_of_support support) (Transition_cache.props node)
-    in
-    Hashtbl.replace views (Formula.hash formula) (node, sel);
-    (node, sel)
-
-let formula_state support formula =
-  let views = Hashtbl.create 16 in
-  let node, sel = view_of support views formula in
-  { initial = formula; node; sel; views }
-
 let of_formula ~name formula ~binding =
-  let support = Array.of_list (Formula.props formula) in
-  let engine = Formula_engine (formula_state support formula) in
-  let monitor = make name engine support binding in
-  monitor.last_verdict <- engine_verdict engine;
-  monitor
+  of_automaton ~name (Ar_automaton.shared formula) ~binding
 
-let of_automaton ~name automaton ~binding =
-  let engine =
-    Automaton_engine { automaton; state = Ar_automaton.initial automaton }
-  in
-  let monitor = make name engine (Ar_automaton.props automaton) binding in
-  monitor.last_verdict <- engine_verdict engine;
-  monitor
-
-let of_il ~name il ~binding =
-  let engine = Il_engine { il; table = Il.compile il; state = il.Il.initial } in
-  let monitor = make name engine il.Il.props binding in
-  monitor.last_verdict <- engine_verdict engine;
-  monitor
-
-let of_formula_hybrid ~name ?(promote_after = 32) ?(max_states = 10_000)
-    formula ~binding =
-  let support = Array.of_list (Formula.props formula) in
-  let engine =
-    Hybrid_engine
-      {
-        h_initial = formula;
-        h_max_states = max_states;
-        h_promote_after = max 1 promote_after;
-        h_visits = Hashtbl.create 16;
-        h_mode = H_formula (formula_state support formula);
-      }
-  in
-  let monitor = make name engine support binding in
-  monitor.last_verdict <- engine_verdict engine;
-  monitor
-
-let promoted monitor =
-  match monitor.engine with
-  | Hybrid_engine { h_mode = H_table _; _ } -> true
-  | _ -> false
+let of_il ~name il ~binding = of_automaton ~name (Il.to_automaton il) ~binding
 
 let name monitor = monitor.m_name
 let verdict monitor = monitor.last_verdict
 let steps monitor = monitor.step_count
-let support monitor = Array.copy monitor.support
+let support monitor = Array.copy (Ar_automaton.props monitor.table)
 
-(* All engines advance from a mask-indexed view of the current samples:
-   [read slot] is the sampled value of [support.(slot)]. The on-the-fly
-   engine masks only the residual's own support (canonical across
-   monitors, so cache nodes are shared) and memoizes the progression;
-   explicit engines build the automaton's full support mask. *)
-let advance_formula support e read =
-  let sel = e.sel in
-  let mask = ref 0 in
-  Array.iteri (fun i slot -> if read slot then mask := !mask lor (1 lsl i)) sel;
-  let next = Transition_cache.step e.node !mask in
-  if not (Formula.equal next (Transition_cache.formula e.node)) then begin
-    let node, sel = view_of support e.views next in
-    e.node <- node;
-    e.sel <- sel
-  end
-
-(* Promote the current residual to an explicit automaton behind a compiled
-   table. The residual is the automaton's initial state, so swapping modes
-   between steps preserves the verdict sequence exactly. Any failure —
-   too many propositions for explicit synthesis, or a state budget blowout
-   — just keeps the on-the-fly mode. *)
-let try_promote monitor h residual =
-  if List.length (Formula.props residual) <= 16 then
-    match Ar_automaton.synthesize_memo ~max_states:h.h_max_states residual with
-    | exception Ar_automaton.Too_large _ -> ()
-    | automaton, _fresh ->
-      let table = Il.Table.of_automaton ~name:monitor.m_name automaton in
-      let sel =
-        Array.map (slot_of_support monitor.support)
-          (Ar_automaton.props automaton)
-      in
-      h.h_mode <-
-        H_table { automaton; table; sel; state = Ar_automaton.initial automaton }
-
-(* Count the step against the residual we are about to leave; the attempt
-   fires exactly once per residual, when its counter hits the threshold. *)
-let hybrid_before_step monitor h =
-  match h.h_mode with
-  | H_table _ -> ()
-  | H_formula e ->
-    let residual = Transition_cache.formula e.node in
-    let id = Formula.hash residual in
-    let count =
-      1 + Option.value (Hashtbl.find_opt h.h_visits id) ~default:0
-    in
-    Hashtbl.replace h.h_visits id count;
-    if count = h.h_promote_after then try_promote monitor h residual
-
-let advance monitor read =
-  match monitor.engine with
-  | Formula_engine e -> advance_formula monitor.support e read
-  | Automaton_engine e ->
-    let mask = ref 0 in
-    for slot = 0 to Array.length monitor.support - 1 do
-      if read slot then mask := !mask lor (1 lsl slot)
-    done;
-    e.state <- Ar_automaton.next e.automaton e.state !mask
-  | Il_engine e ->
-    let mask = ref 0 in
-    for slot = 0 to Array.length monitor.support - 1 do
-      if read slot then mask := !mask lor (1 lsl slot)
-    done;
-    e.state <- Il.Table.next e.table e.state !mask
-  | Hybrid_engine h -> (
-    hybrid_before_step monitor h;
-    match h.h_mode with
-    | H_formula e -> advance_formula monitor.support e read
-    | H_table e ->
-      let mask = ref 0 in
-      Array.iteri
-        (fun i slot -> if read slot then mask := !mask lor (1 lsl i))
-        e.sel;
-      e.state <- Il.Table.next e.table e.state !mask)
-
-let finish_step monitor =
-  monitor.step_count <- monitor.step_count + 1;
-  monitor.last_verdict <- engine_verdict monitor.engine;
-  monitor.last_verdict
+let advance monitor mask =
+  monitor.state <- Ar_automaton.next monitor.table monitor.state mask;
+  monitor.last_verdict <- Ar_automaton.verdict monitor.table monitor.state
 
 let step monitor =
-  if Verdict.is_final monitor.last_verdict then begin
-    monitor.step_count <- monitor.step_count + 1;
-    monitor.last_verdict
-  end
-  else begin
+  if not (Verdict.is_final monitor.last_verdict) then begin
     (* sample every supporting proposition exactly once for this step *)
-    let samples = monitor.samples in
-    Array.iteri (fun i sampler -> samples.(i) <- sampler ()) monitor.samplers;
-    advance monitor (fun slot -> samples.(slot));
-    finish_step monitor
-  end
+    let mask = ref 0 in
+    for slot = 0 to Array.length monitor.samplers - 1 do
+      if monitor.samplers.(slot) () then mask := !mask lor (1 lsl slot)
+    done;
+    advance monitor !mask
+  end;
+  monitor.step_count <- monitor.step_count + 1;
+  monitor.last_verdict
 
 let step_indexed monitor ~samples ~map =
-  if Verdict.is_final monitor.last_verdict then begin
-    monitor.step_count <- monitor.step_count + 1;
-    monitor.last_verdict
-  end
-  else begin
-    advance monitor (fun slot -> samples.(map.(slot)));
-    finish_step monitor
-  end
+  if not (Verdict.is_final monitor.last_verdict) then begin
+    let mask = ref 0 in
+    for slot = 0 to Array.length map - 1 do
+      if samples.(map.(slot)) then mask := !mask lor (1 lsl slot)
+    done;
+    advance monitor !mask
+  end;
+  monitor.step_count <- monitor.step_count + 1;
+  monitor.last_verdict
 
 let finalize ?(strong = false) monitor =
-  match monitor.engine with
-  | Formula_engine e ->
-    Progression.finalize ~strong (Transition_cache.formula e.node)
-  | Automaton_engine e ->
-    Progression.finalize ~strong
-      (Ar_automaton.state_formula e.automaton e.state)
-  | Il_engine _ -> monitor.last_verdict
-  | Hybrid_engine h -> (
-    match h.h_mode with
-    | H_formula e ->
-      Progression.finalize ~strong (Transition_cache.formula e.node)
-    | H_table e ->
-      Progression.finalize ~strong
-        (Ar_automaton.state_formula e.automaton e.state))
+  match Ar_automaton.state_formula monitor.table monitor.state with
+  | Some obligation -> Progression.finalize ~strong obligation
+  | None -> monitor.last_verdict
 
 let reset monitor =
-  (match monitor.engine with
-  | Formula_engine e ->
-    let node, sel = view_of monitor.support e.views e.initial in
-    e.node <- node;
-    e.sel <- sel
-  | Automaton_engine e -> e.state <- Ar_automaton.initial e.automaton
-  | Il_engine e -> e.state <- e.il.Il.initial
-  | Hybrid_engine h ->
-    (* demote: a fresh run re-earns its promotion from scratch *)
-    Hashtbl.reset h.h_visits;
-    h.h_mode <- H_formula (formula_state monitor.support h.h_initial));
+  monitor.state <- Ar_automaton.initial monitor.table;
   monitor.step_count <- 0;
-  monitor.last_verdict <- engine_verdict monitor.engine
+  monitor.last_verdict <- Ar_automaton.verdict monitor.table monitor.state

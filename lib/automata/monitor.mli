@@ -7,50 +7,27 @@
     proposition exactly once (so stateful propositions advance uniformly)
     and advances the AR-automaton.
 
-    Two engines are provided: the explicit pre-synthesized AR-automaton
-    ([of_automaton]/[of_il]) and on-the-fly formula progression
-    ([of_formula]); they compute identical verdicts. All engines step
-    from a mask-indexed view of the sampled support: the explicit
-    engines index their transition tables directly, and the on-the-fly
-    engine memoizes progression through {!Transition_cache}, lazily
-    determinizing the formula into its AR-automaton. A monitor must be
-    stepped on the domain that created it (the transition cache is
-    domain-local). *)
+    A monitor is one {!Ar_automaton.t} table plus a current state id. The
+    engines differ only in how that table is filled: {!of_formula} shares
+    the domain's on-demand table for the formula, {!of_automaton} takes
+    any table (eagerly filled by {!Ar_automaton.fill}), and {!of_il}
+    imports an IL description. All compute identical verdicts. A monitor
+    must be stepped on the domain that created its table. *)
 
 type t
 
 val of_formula :
   name:string -> Formula.t -> binding:(string -> unit -> bool) -> t
-(** On-the-fly engine. *)
+(** On-the-fly engine: the table of {!Ar_automaton.shared}, filled
+    through {!Progression.step} on first visit. *)
 
 val of_automaton :
   name:string -> Ar_automaton.t -> binding:(string -> unit -> bool) -> t
-(** Explicit engine. *)
+(** Step the given table. *)
 
 val of_il : name:string -> Il.t -> binding:(string -> unit -> bool) -> t
-(** Explicit engine driven by an IL description, stepped through the
-    compiled {!Il.Table} guard tables (the guard-list scan {!Il.next} is
-    kept only as the reference semantics). *)
-
-val of_formula_hybrid :
-  name:string ->
-  ?promote_after:int ->
-  ?max_states:int ->
-  Formula.t ->
-  binding:(string -> unit -> bool) ->
-  t
-(** Hybrid engine: starts on-the-fly, and once one residual obligation has
-    absorbed [promote_after] steps (default 32) promotes it to an explicit
-    automaton — capped at [max_states] (default 10000) — stepped through a
-    compiled {!Il.Table}. The hot residual is the promoted automaton's
-    initial state, so promotion never perturbs the verdict sequence. If
-    synthesis fails ({!Ar_automaton.Too_large}, or more than 16
-    propositions), the monitor stays on-the-fly; each residual attempts
-    promotion at most once. *)
-
-val promoted : t -> bool
-(** Has a hybrid monitor promoted to its explicit compiled form? Always
-    [false] for non-hybrid engines. *)
+(** Step the table {!Il.to_automaton} imports, whose rows come from the
+    IL guards. *)
 
 val name : t -> string
 
@@ -77,9 +54,9 @@ val verdict : t -> Verdict.t
 val steps : t -> int
 
 val finalize : ?strong:bool -> t -> Verdict.t
-(** End-of-trace verdict, see {!Progression.finalize}. For explicit engines
-    built from IL the obligation formula is unavailable, so a pending IL
-    monitor finalizes to [Pending] regardless of [strong]. *)
+(** End-of-trace verdict, see {!Progression.finalize}. An imported IL
+    table carries no obligation formulas, so a pending IL monitor
+    finalizes to [Pending] regardless of [strong]. *)
 
 val reset : t -> unit
 (** Return to the initial state and step count 0. *)

@@ -1,6 +1,6 @@
 module Registry = Obs.Registry
 
-type engine = Engine.t = Otf | Explicit | Il | Hybrid | Auto
+type engine = Engine.t = Otf | Explicit | Il
 type syntax = Fltl | Psl | Auto
 
 type property = {
@@ -46,7 +46,7 @@ type meters = {
   m_step_latency : Registry.Timer.t; (* per-trigger checker latency *)
   m_synthesize : Registry.Timer.t;
   m_parse : Registry.Timer.t;
-  m_prog_hits : Registry.Counter.t; (* progression transition cache *)
+  m_prog_hits : Registry.Counter.t; (* automaton table fill *)
   m_prog_misses : Registry.Counter.t;
 }
 
@@ -78,10 +78,10 @@ let make_meters metrics =
     m_parse = Registry.stage_timer metrics Registry.Parse;
     m_prog_hits =
       Registry.counter metrics "sctc_progression_cache_hits_total"
-        ~help:"on-the-fly transitions served by the progression cache";
+        ~help:"monitor transitions served by a filled automaton table row";
     m_prog_misses =
       Registry.counter metrics "sctc_progression_cache_misses_total"
-        ~help:"on-the-fly transitions that computed a fresh progression";
+        ~help:"monitor transitions computed on first visit";
   }
 
 let create ?(trace = Trace.null) ?(metrics = Registry.null) ~name () =
@@ -197,15 +197,7 @@ let compile_plan checker =
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 
-(* [Auto]'s failed explicit attempts, memoized per domain: campaign
-   sessions re-register the same properties over and over, and
-   [Ar_automaton.synthesize_memo] never caches failures, so without this
-   every registration of a too-large formula would re-pay the aborted
-   synthesis up to the state cap. Keyed by (formula hash, cap). *)
-let auto_failures_key : ((int * int, unit) Hashtbl.t Domain.DLS.key) =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-
-let add_property ?(engine = Engine.Otf) ?max_states checker ~name formula =
+let add_property ?(engine = Engine.default) ?max_states checker ~name formula =
   if
     Array.exists
       (fun p -> String.equal p.prop_name name)
@@ -213,48 +205,33 @@ let add_property ?(engine = Engine.Otf) ?max_states checker ~name formula =
   then invalid_arg (Printf.sprintf "Checker.add_property: duplicate %S" name);
   check_support checker formula;
   let binding = Proposition.Table.binding checker.table in
-  (* explicit synthesis goes through the per-domain automaton cache;
-     build time is charged to this checker only when the automaton was
-     actually derived here, so a cache hit costs (and reports) nothing *)
-  let synthesized ?max_states () =
-    let automaton, fresh = Ar_automaton.synthesize_memo ?max_states formula in
-    if fresh then begin
-      checker.synthesis_seconds <-
-        checker.synthesis_seconds +. Ar_automaton.build_seconds automaton;
-      Registry.Timer.observe checker.meters.m_synthesize
-        (Ar_automaton.build_seconds automaton)
-    end;
-    automaton
-  in
-  let hybrid () =
-    Monitor.of_formula_hybrid ~name ~promote_after:Engine.promote_after
-      ~max_states:(Option.value max_states ~default:Engine.auto_max_states)
-      formula ~binding
+  (* explicit synthesis fills the domain's shared table; every attempt
+     that does work is charged to this checker, including one that gives
+     up with [Too_large], while a table already filled costs (and
+     reports) nothing *)
+  let synthesized () =
+    let table = Ar_automaton.shared formula in
+    let charged = not (Ar_automaton.complete table) in
+    let started = Unix.gettimeofday () in
+    Fun.protect
+      ~finally:(fun () ->
+        if charged then begin
+          let seconds = Unix.gettimeofday () -. started in
+          checker.synthesis_seconds <- checker.synthesis_seconds +. seconds;
+          Registry.Timer.observe checker.meters.m_synthesize seconds
+        end)
+      (fun () -> Ar_automaton.fill ?max_states table);
+    table
   in
   let monitor =
     match (engine : Engine.t) with
     | Otf -> Monitor.of_formula ~name formula ~binding
-    | Explicit -> Monitor.of_automaton ~name (synthesized ?max_states ()) ~binding
+    | Explicit -> Monitor.of_automaton ~name (synthesized ()) ~binding
     | Il ->
-      let il = Il.of_automaton ~name (synthesized ?max_states ()) in
+      let il = Il.of_automaton ~name (synthesized ()) in
       (* round-trip through the textual IL, as the SCTC flow does *)
       let il = Il.parse (Il.to_string il) in
       Monitor.of_il ~name il ~binding
-    | Hybrid -> hybrid ()
-    | Auto ->
-      (* explicit while synthesis stays under the state budget — the
-         fastest steady state — falling back to hybrid when it cannot *)
-      let cap = Option.value max_states ~default:Engine.auto_max_states in
-      let failures = Domain.DLS.get auto_failures_key in
-      let key = (Formula.hash formula, cap) in
-      if List.length (Formula.props formula) > 16 || Hashtbl.mem failures key
-      then hybrid ()
-      else (
-        match synthesized ~max_states:cap () with
-        | automaton -> Monitor.of_automaton ~name automaton ~binding
-        | exception Ar_automaton.Too_large _ ->
-          Hashtbl.replace failures key ();
-          hybrid ())
   in
   checker.properties <-
     Array.append checker.properties
@@ -348,16 +325,16 @@ let step_monitors checker =
   done
 
 (* one trigger; when metered, stamp the per-trigger latency histogram
-   and the progression-cache counters (per-domain, lock-free deltas) *)
+   and the table fill counters (per-domain, lock-free deltas) *)
 let step checker =
   checker.step_count <- checker.step_count + 1;
   if checker.meters.metered then begin
-    let hits0, misses0 = Transition_cache.local_stats () in
+    let hits0, misses0 = Ar_automaton.local_counters () in
     let started = Unix.gettimeofday () in
     step_monitors checker;
     Registry.Timer.observe checker.meters.m_step_latency
       (Unix.gettimeofday () -. started);
-    let hits1, misses1 = Transition_cache.local_stats () in
+    let hits1, misses1 = Ar_automaton.local_counters () in
     Registry.Counter.add checker.meters.m_prog_hits (hits1 - hits0);
     Registry.Counter.add checker.meters.m_prog_misses (misses1 - misses0);
     Registry.Counter.incr checker.meters.m_triggers

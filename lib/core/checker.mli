@@ -13,23 +13,20 @@
     vector (in sorted name order, each probe published as one
     [Trace.Sample] event), monitors read that vector through precomputed
     integer slot maps ({!Monitor.step_indexed}), and monitors whose
-    verdict is final — and published — are skipped entirely. On-the-fly
-    monitors additionally memoize progression through
-    [Transition_cache], so steady-state triggers cost one table lookup
-    per property.
+    verdict is final — and published — are skipped entirely. Every
+    monitor steps an [Ar_automaton] table, so a steady-state trigger costs
+    one row lookup per property.
 
     Properties can be given as {!Formula.t} values or as PSL / FLTL text;
-    the synthesis engine ({!Engine.t}) is selectable per property:
-    on-the-fly progression, an explicit pre-synthesized AR-automaton, the
-    automaton passed through the IL representation and compiled to
-    mask-indexed guard tables (property → AR-automaton → IL → monitor,
-    the full paper pipeline), a hybrid that promotes hot residuals from
-    progression to compiled tables, or [Auto], which picks explicit when
-    synthesis is cheap and hybrid otherwise. *)
+    the engine ({!Engine.t}) is selectable per property and decides only
+    how the table is filled: on first visit (on-the-fly progression),
+    eagerly by explicit synthesis, or from the guards of the automaton
+    passed through the IL text form (property → AR-automaton → IL →
+    monitor, the full paper pipeline). *)
 
 type t
 
-type engine = Engine.t = Otf | Explicit | Il | Hybrid | Auto
+type engine = Engine.t = Otf | Explicit | Il
 (** Re-export of {!Engine.t} — the one engine enum shared by every front
     end; see {!Engine} for the semantics of each constructor and the
     string/CLI conversions. *)
@@ -43,10 +40,10 @@ val create :
     the hot path). With a live registry the checker records
     [sctc_triggers_total], [sctc_verdict_transitions_total],
     [sctc_progression_cache_hits_total] /
-    [sctc_progression_cache_misses_total] (the on-the-fly transition
-    cache), per-trigger latency under the [check] stage timer, and
-    charges property parsing and explicit synthesis to the [parse] /
-    [synthesize] stage timers. *)
+    [sctc_progression_cache_misses_total] (the automaton tables' fill
+    hits and misses), per-trigger latency under the [check] stage timer,
+    and charges property parsing and explicit synthesis — failed
+    attempts included — to the [parse] / [synthesize] stage timers. *)
 
 val name : t -> string
 
@@ -74,16 +71,16 @@ val proposition_names : t -> string list
 
 val add_property :
   ?engine:engine -> ?max_states:int -> t -> name:string -> Formula.t -> unit
-(** [engine] defaults to {!Engine.Otf} at this layer — registration stays
-    free of synthesis cost unless asked otherwise; the session/harness/CLI
-    front ends default to {!Engine.Auto} instead. Under [Auto],
-    [max_states] (default {!Engine.auto_max_states}) caps the explicit
-    attempt and a blowout falls back to {!Engine.Hybrid} rather than
-    raising; failed attempts are memoized per domain so campaigns don't
-    re-pay them.
+(** [engine] defaults to {!Engine.default} ({!Engine.Otf}), as in every
+    session/harness/CLI front end. [Explicit] and [Il] fill the domain's
+    shared table for the formula under [max_states] (see
+    {!Ar_automaton.fill}); the time of every attempt that does work is
+    added to {!synthesis_seconds} and the [synthesize] stage timer, even
+    when it gives up with {!Ar_automaton.Too_large}.
     @raise Invalid_argument if a proposition in the formula's support is not
-    registered, if the property name is already used, or if [Explicit]/[Il]
-    synthesis exceeds [max_states] (see {!Ar_automaton.Too_large}). *)
+    registered, or if the property name is already used.
+    @raise Ar_automaton.Too_large if [Explicit]/[Il] synthesis exceeds
+    [max_states]. *)
 
 val add_property_text :
   ?engine:engine ->
@@ -151,8 +148,8 @@ val reset : t -> unit
 
 val synthesis_seconds : t -> float
 (** Total explicit AR-automaton generation time accumulated by
-    [add_property] — the paper's "AR-automaton generation time" component
-    of verification time. *)
+    [add_property], failed attempts included — the paper's "AR-automaton
+    generation time" component of verification time. *)
 
 val on_violation : t -> (string -> int -> unit) -> unit
 (** Install a callback invoked as [f property_name step] the first time a

@@ -1,21 +1,14 @@
-type t = Otf | Explicit | Il | Hybrid | Auto
+type t = Otf | Explicit | Il
 
-let all = [ Otf; Explicit; Il; Hybrid; Auto ]
+let all = [ Otf; Explicit; Il ]
 
-let to_string = function
-  | Otf -> "otf"
-  | Explicit -> "explicit"
-  | Il -> "il"
-  | Hybrid -> "hybrid"
-  | Auto -> "auto"
+let to_string = function Otf -> "otf" | Explicit -> "explicit" | Il -> "il"
 
 let of_string text =
   match String.lowercase_ascii (String.trim text) with
   | "otf" | "on-the-fly" | "onthefly" -> Some Otf
   | "explicit" -> Some Explicit
   | "il" -> Some Il
-  | "hybrid" -> Some Hybrid
-  | "auto" -> Some Auto
   | _ -> None
 
 let of_string_exn text =
@@ -30,12 +23,8 @@ let of_string_exn text =
 let pp fmt engine = Format.pp_print_string fmt (to_string engine)
 
 let describe = function
-  | Otf -> "on-the-fly progression with the lazy transition cache"
-  | Explicit -> "pre-synthesized explicit AR-automaton"
-  | Il -> "AR-automaton via the IL text form, compiled guard tables"
-  | Hybrid -> "on-the-fly start, hot residuals promoted to compiled tables"
-  | Auto -> "explicit when synthesis is cheap, hybrid otherwise (the default)"
+  | Otf -> "AR-automaton table filled on first visit (the default)"
+  | Explicit -> "AR-automaton table filled eagerly by explicit synthesis"
+  | Il -> "explicit table round-tripped through the IL text, rows from guards"
 
-let default = Auto
-let auto_max_states = 10_000
-let promote_after = 32
+let default = Otf

@@ -1,41 +1,29 @@
 (** The monitor-synthesis engine selection — one enum for the whole stack.
 
-    Historically every front end declared its own private copy of this
-    enum ([bin/tcheck.ml] had an ad-hoc cmdliner [Arg.enum],
-    [Verif.Session], [Eee.Harness] and [Eee.Driver] each re-exported
-    [Checker.engine] defaults); this module is the single definition.
     {!Checker.engine} is an alias of this type, [Tcheck_cli.engine_conv]
     is the cmdliner converter over {!of_string}/{!to_string}, and every
     config record ([Verif.Session.config], [Eee.Harness.plan],
     [Eee.Driver.config]) carries a value of this type.
 
-    The engines:
+    Every engine steps the same representation, an [Ar_automaton.t]
+    transition table; they differ only in how the table is filled:
 
-    - {!Otf} — on-the-fly formula progression, memoized through
-      [Transition_cache]. No synthesis cost at registration; the
-      reachable AR-automaton fragment is determinized lazily.
-    - {!Explicit} — the full AR-automaton synthesized up front
-      ([Ar_automaton.synthesize]); fastest steady-state stepping (one
-      dense-array lookup per trigger) but synthesis can blow up on large
-      bounds ([Ar_automaton.Too_large]).
-    - {!Il} — the paper's full pipeline: automaton serialized to the IL
-      text form, re-parsed, and compiled to mask-indexed guard tables
-      ([Il.Table]). Steady-state cost matches {!Explicit}.
-    - {!Hybrid} — starts on-the-fly and promotes a monitor's hot
-      residual obligation to an explicit compiled table once it has been
-      stepped {!promote_after} times ([Monitor.of_formula_hybrid]);
-      falls back gracefully (stays on-the-fly) when synthesis of the
-      residual would exceed the state budget.
-    - {!Auto} — the default: {!Explicit} when synthesis stays under
-      {!auto_max_states} states, {!Hybrid} otherwise. Dominates both
-      fixed choices: explicit speed where synthesis is cheap, bounded
-      registration cost where it is not. Verdicts are identical across
-      all engines, per step. *)
+    - {!Otf} — on first visit, through formula progression. No synthesis
+      cost at registration; only the reachable fragment of the
+      AR-automaton is ever determinized. The default.
+    - {!Explicit} — eagerly, by explicit synthesis under a state budget
+      ([Ar_automaton.fill]); synthesis can blow up on large bounds
+      ([Ar_automaton.Too_large]).
+    - {!Il} — the paper's full pipeline: the explicit table exported as
+      IL text, parsed back, and imported with rows filled from the
+      guards.
 
-type t = Otf | Explicit | Il | Hybrid | Auto
+    Verdicts are identical across all engines, per step. *)
+
+type t = Otf | Explicit | Il
 
 val all : t list
-(** In {!to_string} order: [otf], [explicit], [il], [hybrid], [auto]. *)
+(** In {!to_string} order: [otf], [explicit], [il]. *)
 
 val to_string : t -> string
 
@@ -52,13 +40,4 @@ val describe : t -> string
 (** One-line description, for CLI docs and bench tables. *)
 
 val default : t
-(** {!Auto}. *)
-
-val auto_max_states : int
-(** The synthesis state budget {!Auto} tries {!Explicit} under before
-    falling back to {!Hybrid} (10000). [?max_states] overrides it per
-    property. *)
-
-val promote_after : int
-(** Default hybrid promotion threshold: steps taken from one residual
-    obligation before it is synthesized to a compiled table (32). *)
+(** {!Otf}. *)

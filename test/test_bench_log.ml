@@ -23,6 +23,11 @@ let legacy_campaign_wide =
 let tagged_checker =
   {|{"table":"checker","unix_time":1786047058,"git_rev":"97454da","scale":1,"triggers":200000,"properties":7,"propositions":38,"legacy_tps":375961,"plan_tps":1.33827e+06,"explicit_tps":2.30521e+06,"speedup":3.55959,"prog_cache_hits":1400000,"prog_cache_misses":0,"prog_cache_hit_rate":1,"verdicts_identical":true}|}
 
+(* tagged checker row from the five-engine generation: hybrid/auto columns
+   that later rows no longer write *)
+let tagged_checker_five_engines =
+  {|{"table":"checker","unix_time":1786213715,"git_rev":"3623ebf","scale":1,"triggers":200000,"properties":7,"propositions":38,"legacy_tps":359095,"plan_tps":1.38408e+06,"explicit_tps":2.19981e+06,"il_tps":2.2455e+06,"hybrid_tps":1.6889e+06,"auto_tps":2.34107e+06,"auto_dominates":true,"speedup":3.85436,"prog_cache_hits":1400000,"prog_cache_misses":0,"prog_cache_hit_rate":1,"verdicts_identical":true}|}
+
 let tagged_simulate =
   {|{"table":"simulate","unix_time":1786205197,"git_rev":"a8640e4","scale":1,"jobs":1,"cores":1,"speedup_expected":true,"target_statements":2000000,"interp_statements":2000000,"interp_seconds":0.146039,"interp_sps":1.3695e+07,"vm_statements":2000000,"vm_seconds":0.0670948,"vm_sps":2.98086e+07,"speedup":2.17661,"verdicts_identical":true,"jsonl_identical":true,"sim_interp_statements_total":19740,"sim_vm_statements_total":19740}|}
 
@@ -70,6 +75,7 @@ let test_tagged_rows () =
         (Bench_log.str_field row "table"))
     [
       (tagged_checker, "checker");
+      (tagged_checker_five_engines, "checker");
       (tagged_simulate, "simulate");
       (tagged_campaign, "campaign");
     ]
@@ -83,6 +89,15 @@ let test_scientific_notation_numbers () =
     (Bench_log.int_field row "triggers");
   Alcotest.(check (option string)) "string column" (Some "97454da")
     (Bench_log.str_field row "git_rev")
+
+let test_removed_engine_columns () =
+  let row = parse_ok tagged_checker_five_engines in
+  Alcotest.(check (option (float 1.0))) "hybrid_tps" (Some 1.6889e+06)
+    (Bench_log.number row "hybrid_tps");
+  Alcotest.(check (option (float 1.0))) "auto_tps" (Some 2.34107e+06)
+    (Bench_log.number row "auto_tps");
+  Alcotest.(check (option bool)) "auto_dominates" (Some true)
+    (Bench_log.bool_field row "auto_dominates")
 
 let test_accessor_kind_mismatch () =
   let row = parse_ok tagged_checker in
@@ -238,6 +253,8 @@ let () =
           Alcotest.test_case "tagged rows decode" `Quick test_tagged_rows;
           Alcotest.test_case "%.6g scientific notation" `Quick
             test_scientific_notation_numbers;
+          Alcotest.test_case "removed engines' columns decode" `Quick
+            test_removed_engine_columns;
           Alcotest.test_case "accessor kind mismatches" `Quick
             test_accessor_kind_mismatch;
           Alcotest.test_case "field order preserved" `Quick

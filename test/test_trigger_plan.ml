@@ -1,7 +1,7 @@
 (* Tests for the compiled trigger plan: the shared per-trigger sample
    vector (each proposition probed exactly once per trigger, however
    many properties share it), active-set stepping (settled monitors are
-   skipped), and the progression transition cache behind the on-the-fly
+   skipped), and the per-domain automaton tables behind the on-the-fly
    engine — differentially against plain [Progression.step], and under
    4 concurrent domains against a single-domain oracle. *)
 
@@ -95,7 +95,7 @@ let qcheck_plan_matches_progression =
       List.for_all2 Verdict.equal reference fast)
 
 (* several properties on one checker must not disturb each other even
-   though they share the sample vector and the transition cache *)
+   though they share the sample vector and the automaton tables *)
 let qcheck_plan_multi_property =
   QCheck.Test.make
     ~name:"three shared-support properties == three independent references"
@@ -286,12 +286,12 @@ let test_reset_replays_identically () =
   Alcotest.(check int) "same length" (List.length first) (List.length second);
   List.iter2 (fun a b -> check_verdict "replay verdict" a b) first second
 
-(* --- 4-domain transition-cache stress ------------------------------------ *)
+(* --- 4-domain automaton-table stress --------------------------------------- *)
 
 (* Every domain steps the same property set over the same scripted
-   stimulus; each populates its own domain-local transition cache while
+   stimulus; each fills its own per-domain automaton tables while
    hash-consing formulas through the shared sharded table. The oracle is
-   the uncached single-domain reference stepper. *)
+   the table-free single-domain reference stepper. *)
 
 let stress_formulas () =
   List.map Sctc.Prop.parse_exn
@@ -349,10 +349,10 @@ let test_four_domain_cache_stress () =
           check_verdict (Printf.sprintf "domain %d verdict" d) expected got)
         oracle result)
     results;
-  let stats = Transition_cache.stats () in
+  let fills = Ar_automaton.counters () in
   Alcotest.(check bool)
-    "the cache actually served transitions" true
-    (stats.Transition_cache.hits > 0)
+    "the tables actually served transitions" true
+    (fills.Ar_automaton.hits > 0)
 
 let () =
   Alcotest.run "trigger-plan"
