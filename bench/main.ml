@@ -208,9 +208,9 @@ let read_file path =
   s
 
 (* live heap words with the floating garbage collected away — the
-   peak-RSS proxy both engines are compared on (process RSS high-water
-   marks are monotonic within one process, so deltas of [live_words]
-   around each run are the comparable signal) *)
+   peak-RSS proxy the collecting and streaming runs are compared on
+   (process RSS high-water marks are monotonic within one process, so
+   deltas of [live_words] around each run are the comparable signal) *)
 let live_words () =
   Gc.full_major ();
   (Gc.stat ()).Gc.live_words
@@ -231,32 +231,38 @@ let campaign_round ~plan ~sequential ~cores jobs_n =
   let cons_before = Formula.cons_stats () in
   let fill_before = Ar_automaton.counters () in
   let metrics = Registry.create () in
-  let seed_live_before = live_words () in
+  let collected_live_before = live_words () in
   let pooled =
     Harness.run_campaign ~workers:jobs_n { plan with Harness.metrics }
   in
-  (* the summary (with every retained event buffer) is what the seed
-     engine keeps alive until the merge — measure it before rendering *)
-  let seed_live = live_words () - seed_live_before in
+  (* the summary (with every retained event buffer) is what the
+     collecting run keeps alive until the render — measure it before
+     rendering *)
+  let collected_live = live_words () - collected_live_before in
   let cons_after = Formula.cons_stats () in
   let fill_after = Ar_automaton.counters () in
   let verdicts_identical =
     Verif.Campaign.verdicts sequential = Verif.Campaign.verdicts pooled
   in
-  (* charge this render to the merge stage timer of the round *)
-  let seed_jsonl = Verif.Campaign.to_jsonl ~metrics pooled in
+  let stage name = Registry.sum_seconds metrics (Registry.stage_name name) in
+  (* the collecting run already charged its per-outcome emission to the
+     merge stage; the merge gate compares against the end-of-run render
+     alone, so take the stage delta around it *)
+  let merge_before = stage Registry.Merge in
+  let collected_jsonl = Verif.Campaign.to_jsonl ~metrics pooled in
+  let render_merge = stage Registry.Merge -. merge_before in
   let jsonl_identical =
-    String.equal (Verif.Campaign.to_jsonl sequential) seed_jsonl
+    String.equal (Verif.Campaign.to_jsonl sequential) collected_jsonl
   in
-  (* the streaming engine at the same worker count: trace flows to a
-     file sink while workers run; nothing accumulates but the summary *)
+  (* the streaming run at the same worker count: trace flows to a file
+     sink while workers run; nothing accumulates but the summary *)
   let stream_metrics = Registry.create () in
   let stream_path = Filename.temp_file "bench_stream" ".jsonl" in
   let stream_live_before = live_words () in
   let streamed =
-    Harness.run_campaign_stream ~workers:jobs_n
+    Verif.Campaign.run_stream ~metrics:stream_metrics ~workers:jobs_n
       ~sinks:[ Verif.Campaign.jsonl_file_sink stream_path ]
-      { plan with Harness.metrics = stream_metrics }
+      (Harness.campaign_jobs { plan with Harness.metrics = stream_metrics })
   in
   let stream_live = live_words () - stream_live_before in
   let stream_jsonl = read_file stream_path in
@@ -269,13 +275,13 @@ let campaign_round ~plan ~sequential ~cores jobs_n =
   let stream_verdicts_identical =
     Verif.Campaign.verdicts pooled = Verif.Campaign.verdicts streamed
   in
-  let stream_jsonl_identical = String.equal seed_jsonl stream_jsonl in
-  let stage name = Registry.sum_seconds metrics (Registry.stage_name name) in
-  let seed_merge = stage Registry.Merge in
+  let stream_jsonl_identical = String.equal collected_jsonl stream_jsonl in
   let stream_merge =
     Registry.sum_seconds stream_metrics (Registry.stage_name Registry.Merge)
   in
-  let merge_ratio = if seed_merge > 0.0 then stream_merge /. seed_merge else 1.0 in
+  let merge_ratio =
+    if render_merge > 0.0 then stream_merge /. render_merge else 1.0
+  in
   let queue_wait = Registry.sum_seconds metrics "campaign_queue_wait_seconds" in
   let speedup =
     if pooled.Verif.Campaign.wall_seconds > 0.0 then
@@ -303,19 +309,20 @@ let campaign_round ~plan ~sequential ~cores jobs_n =
     "        stages (lib/obs): simulate %.2fs, check %.2fs, synth %.3fs, \
      parse %.3fs, merge %.3fs, queue-wait %.3fs\n"
     (stage Registry.Simulate) (stage Registry.Check)
-    (stage Registry.Synthesize) (stage Registry.Parse) (stage Registry.Merge)
+    (stage Registry.Synthesize) (stage Registry.Parse) render_merge
     queue_wait;
   Printf.printf "        verdicts identical: %b, merged JSONL identical: %b\n"
     verdicts_identical jsonl_identical;
   Printf.printf
-    "        streaming: %.2fs wall  merge %.4fs vs seed %.4fs (%.2fx)  live \
-     %dk vs seed %dk words  window %d (peak %d, %d waits)\n"
-    streamed.Verif.Campaign.wall_seconds stream_merge seed_merge merge_ratio
-    (stream_live / 1000) (seed_live / 1000) stream_stats.Verif.Campaign.window
+    "        streaming: %.2fs wall  merge %.4fs vs render %.4fs (%.2fx)  \
+     live %dk vs collected %dk words  window %d (peak %d, %d waits)\n"
+    streamed.Verif.Campaign.wall_seconds stream_merge render_merge merge_ratio
+    (stream_live / 1000) (collected_live / 1000)
+    stream_stats.Verif.Campaign.window
     stream_stats.Verif.Campaign.peak_window
     stream_stats.Verif.Campaign.backpressure_waits;
   Printf.printf
-    "        streaming identical to seed: verdicts %b, JSONL %b\n"
+    "        streaming identical to collected: verdicts %b, JSONL %b\n"
     stream_verdicts_identical stream_jsonl_identical;
   let slowdown = jobs_n > 1 && speedup < 1.0 in
   if slowdown then begin
@@ -375,7 +382,7 @@ let campaign_round ~plan ~sequential ~cores jobs_n =
          ("stage_check_seconds", Json.float (stage Registry.Check));
          ("stage_synthesize_seconds", Json.float (stage Registry.Synthesize));
          ("stage_parse_seconds", Json.float (stage Registry.Parse));
-         ("stage_merge_seconds", Json.float seed_merge);
+         ("stage_merge_seconds", Json.float render_merge);
          ("queue_wait_seconds", Json.float queue_wait);
          ( "check_triggers",
            Json.int (Registry.total metrics "sctc_triggers_total") );
@@ -383,7 +390,7 @@ let campaign_round ~plan ~sequential ~cores jobs_n =
           Json.float streamed.Verif.Campaign.wall_seconds);
          ("stream_merge_seconds", Json.float stream_merge);
          ("merge_ratio", Json.float merge_ratio);
-         ("seed_live_words", Json.int seed_live);
+         ("seed_live_words", Json.int collected_live);
          ("stream_live_words", Json.int stream_live);
          ("stream_window", Json.int stream_stats.Verif.Campaign.window);
          ( "stream_peak_window",
@@ -397,30 +404,31 @@ let campaign_round ~plan ~sequential ~cores jobs_n =
     verdicts_identical && jsonl_identical && stream_verdicts_identical
     && stream_jsonl_identical
   in
-  (* the streaming gates: the merge must cost well under half the seed
-     engine's (a 5ms absolute floor keeps sub-millisecond CI merges from
-     flaking the ratio), and live memory after the run must beat the
-     seed engine, which retains every event buffer until the merge.
-     The merge ratio is only comparable on the 1-worker rounds: pooled
-     streaming emission overlaps simulation, so its wall-clock stage
-     charge absorbs preemption by the concurrently running workers,
-     while the seed merge always runs solo after the pool joins *)
+  (* the streaming gates: the merge must cost well under half the
+     collecting run's end-of-run render (a 5ms absolute floor keeps
+     sub-millisecond CI merges from flaking the ratio), and live memory
+     after the run must beat the collecting run, which retains every
+     event buffer until the render. The merge ratio is only comparable
+     on the 1-worker rounds: pooled streaming emission overlaps
+     simulation, so its wall-clock stage charge absorbs preemption by
+     the concurrently running workers, while the render always runs solo
+     after the pool joins *)
   let merge_ok =
     jobs_n > 1
-    || stream_merge <= 0.5 *. seed_merge
+    || stream_merge <= 0.5 *. render_merge
     || stream_merge < 0.005
   in
-  let memory_ok = stream_live < seed_live in
+  let memory_ok = stream_live < collected_live in
   if not merge_ok then
     Printf.printf
-      "*** WARNING: streaming merge not under 0.5x the seed engine \
-       (%.4fs vs %.4fs) ***\n"
-      stream_merge seed_merge;
+      "*** WARNING: streaming merge not under 0.5x the collecting run's \
+       render (%.4fs vs %.4fs) ***\n"
+      stream_merge render_merge;
   if not memory_ok then
     Printf.printf
-      "*** WARNING: streaming engine retained more live words than the \
-       seed engine (%d vs %d) ***\n"
-      stream_live seed_live;
+      "*** WARNING: streaming run retained more live words than the \
+       collecting run (%d vs %d) ***\n"
+      stream_live collected_live;
   (* the CI gate: identity must always hold; a slowdown only fails the
      gate where the hardware could actually have parallelized the pool *)
   identity_ok && merge_ok && memory_ok && not (slowdown && cores >= 2)

@@ -232,7 +232,7 @@ let cmd_verify =
           Verif.Session.result session)
     in
     let summary = Tcheck_cli.execute common metrics (List.map job_of named) in
-    Tcheck_cli.finish common metrics summary;
+    Tcheck_cli.write_metrics common metrics;
     List.iter
       (fun outcome ->
         match outcome.Verif.Campaign.result with
@@ -388,7 +388,7 @@ let cmd_eee =
     let summary =
       Tcheck_cli.execute common metrics (Eee.Harness.campaign_jobs plan)
     in
-    Tcheck_cli.finish common metrics summary;
+    Tcheck_cli.write_metrics common metrics;
     List.iter
       (fun outcome ->
         Format.printf "--- %s ---@." outcome.Verif.Campaign.label;
@@ -425,8 +425,7 @@ let cmd_eee =
   let scale =
     Arg.(value & opt int 1 & info [ "scale" ] ~docv:"K"
            ~doc:"Multiply --cases by K — the overnight-campaign knob; \
-                 combine with --stream to keep memory bounded while the \
-                 trace streams out")
+                 memory stays bounded while the trace streams out")
   in
   let bound =
     Arg.(value & opt (some int) None & info [ "bound" ]
@@ -506,11 +505,7 @@ let cmd_smc =
     let label =
       Printf.sprintf "a%d/%s" approach (Eee.Eee_spec.op_name op)
     in
-    let sinks =
-      match common.Tcheck_cli.trace_file with
-      | Some out -> [ Verif.Campaign.jsonl_file_sink out ]
-      | None -> []
-    in
+    let sinks = Tcheck_cli.trace_sinks common metrics ~jobs:None in
     let report =
       try
         Smc.Runner.run ~metrics ~workers:common.Tcheck_cli.jobs
@@ -524,13 +519,7 @@ let cmd_smc =
         Printf.eprintf "smc: %s\n" msg;
         exit 2
     in
-    (match common.Tcheck_cli.metrics_file with
-    | None -> ()
-    | Some out -> (
-      try Obs.Export.write_jsonl out metrics
-      with Sys_error msg ->
-        Printf.eprintf "--metrics: %s\n" msg;
-        exit 2));
+    Tcheck_cli.write_metrics common metrics;
     let monitored =
       match prop with
       | Some name -> name

@@ -1,8 +1,8 @@
 (* Tcheck_cli — the option surface shared by the campaign subcommands.
 
-   [tcheck verify] and [tcheck eee] historically declared private copies
-   of --jobs/--chunk/--seed/--trace; this module is their single
-   definition, plus the --metrics surface added with lib/obs. *)
+   [tcheck verify], [eee] and [smc] share one definition of
+   --jobs/--chunk/--seed/--trace/--metrics and the streaming options,
+   one builder of the --trace sinks, and one way to run a campaign. *)
 
 open Cmdliner
 
@@ -13,7 +13,6 @@ type common = {
   backend : Minic.Exec.kind;
   trace_file : string option;
   metrics_file : string option;
-  stream : bool;
   out_shards : int option;
   window : int option;
 }
@@ -60,6 +59,13 @@ let prop_conv =
   in
   Arg.conv (parse, fun fmt (n, e) -> Format.fprintf fmt "%s=%s" n e)
 
+(* counts the pool cannot honour are usage errors, not silently clamped *)
+let at_least_one option = function
+  | Some n when n < 1 ->
+    Printf.eprintf "%s must be >= 1\n" option;
+    exit 2
+  | _ -> ()
+
 let term ~default_seed =
   let jobs =
     Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N"
@@ -77,9 +83,10 @@ let term ~default_seed =
   in
   let trace_file =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE.jsonl"
-           ~doc:"Write the structured verification trace (triggers, \
-                 samples, verdict changes) as JSONL to this file; with \
-                 --jobs the per-job traces are merged in job order")
+           ~doc:"Stream the structured verification trace (triggers, \
+                 samples, verdict changes) as JSONL to this file while \
+                 workers run; with --jobs the per-job traces are merged \
+                 in job order")
   in
   let metrics_file =
     Arg.(value & opt (some string) None & info [ "metrics" ]
@@ -97,35 +104,30 @@ let term ~default_seed =
                  $(b,auto) (VM with interpreter fallback; the default). \
                  Verdicts and traces are identical across backends")
   in
-  let stream =
-    Arg.(value & flag & info [ "stream" ]
-           ~doc:"Run the streaming campaign engine: finished jobs flow \
-                 to the --trace file in job order through a bounded \
-                 reassembly window instead of accumulating until the \
-                 end of the run. Output is byte-identical to the \
-                 default engine")
-  in
   let out_shards =
     Arg.(value & opt (some int) None & info [ "out-shards" ] ~docv:"S"
            ~doc:"Split the streamed --trace output over S files \
                  (FILE.000.jsonl, FILE.001.jsonl, ...); concatenating \
                  them in shard order reproduces the unsharded stream \
-                 byte for byte. Implies --stream")
+                 byte for byte")
   in
   let window =
     Arg.(value & opt (some int) None & info [ "window" ] ~docv:"W"
            ~doc:"Bound of the streaming reassembly window (outcomes a \
                  slow job can park before depositing workers block; \
-                 default 2x the pool size, at least 4). Implies --stream")
+                 default 2x the pool size, at least 4)")
   in
-  let combine jobs chunk seed backend trace_file metrics_file stream
-      out_shards window =
-    let stream = stream || out_shards <> None || window <> None in
-    { jobs; chunk; seed; backend; trace_file; metrics_file; stream;
-      out_shards; window }
+  let combine jobs chunk seed backend trace_file metrics_file out_shards
+      window =
+    at_least_one "--jobs" (Some jobs);
+    at_least_one "--chunk" chunk;
+    at_least_one "--out-shards" out_shards;
+    at_least_one "--window" window;
+    { jobs; chunk; seed; backend; trace_file; metrics_file; out_shards;
+      window }
   in
   Term.(const combine $ jobs $ chunk $ seed $ backend $ trace_file
-        $ metrics_file $ stream $ out_shards $ window)
+        $ metrics_file $ out_shards $ window)
 
 (* a live registry only when a snapshot was requested, so un-instrumented
    runs keep the null registry's no-op handles *)
@@ -134,45 +136,39 @@ let registry common =
   | Some _ -> Obs.Registry.create ()
   | None -> Obs.Registry.null
 
-(* Run a job list on the engine the options selected. Streaming routes
-   the trace through sinks while workers are still running — [finish]
-   must not (and does not) rewrite the trace file afterwards. *)
-let execute common metrics jobs =
-  (match common.out_shards with
-  | Some shards when shards < 1 ->
-    Printf.eprintf "--out-shards must be >= 1\n";
+(* [jobs] is the campaign's job count, which shard routing needs; [None]
+   where the count is decided while the campaign runs *)
+let trace_sinks common metrics ~jobs =
+  if common.out_shards <> None && jobs = None then begin
+    Printf.eprintf
+      "--out-shards: the job count is decided while the campaign runs, \
+       so its trace cannot be sharded\n";
     exit 2
-  | _ -> ());
-  if not common.stream then
-    Verif.Campaign.run ~metrics ~workers:common.jobs ?chunk:common.chunk jobs
-  else
+  end;
+  match common.trace_file with
+  | None -> []
+  | Some out -> (
     try
-      let sinks =
-        match (common.trace_file, common.out_shards) with
-        | None, _ -> []
-        | Some out, None -> [ Verif.Campaign.jsonl_file_sink out ]
-        | Some out, Some shards ->
-          [
-            Verif.Campaign.sharded_jsonl_sink ~metrics ~shards
-              ~jobs:(List.length jobs) out;
-          ]
-      in
-      Verif.Campaign.run_stream ~metrics ~workers:common.jobs
-        ?chunk:common.chunk ?window:common.window ~sinks jobs
-    with Sys_error msg | Failure msg ->
-      Printf.eprintf "--stream: %s\n" msg;
-      exit 2
+      match (common.out_shards, jobs) with
+      | Some shards, Some jobs ->
+        [ Verif.Campaign.sharded_jsonl_sink ~metrics ~shards ~jobs out ]
+      | _ -> [ Verif.Campaign.jsonl_file_sink out ]
+    with Sys_error msg ->
+      Printf.eprintf "--trace: %s\n" msg;
+      exit 2)
 
-let finish common metrics summary =
-  (match common.trace_file with
-  | None -> ()
-  | Some out ->
-    if not common.stream then (
-      (* streaming already wrote the trace incrementally through its sink *)
-      try Verif.Campaign.write_jsonl ~metrics out summary
-      with Sys_error msg ->
-        Printf.eprintf "--trace: %s\n" msg;
-        exit 2));
+let execute common metrics jobs =
+  let sinks = trace_sinks common metrics ~jobs:(Some (List.length jobs)) in
+  try
+    Verif.Campaign.run_stream ~metrics ~workers:common.jobs
+      ?chunk:common.chunk ?window:common.window ~sinks jobs
+  with Failure msg ->
+    (* jobs' own exceptions stay in their outcomes: a Failure here is a
+       trace sink that could not write *)
+    Printf.eprintf "--trace: %s\n" msg;
+    exit 2
+
+let write_metrics common metrics =
   match common.metrics_file with
   | None -> ()
   | Some out -> (

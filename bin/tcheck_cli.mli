@@ -1,19 +1,20 @@
 (** The option surface shared by the [tcheck] campaign subcommands
-    ([verify], [eee]): worker-pool shape, campaign seed, and the trace /
-    metrics output files, declared once instead of per subcommand. *)
+    ([verify], [eee], [smc]): worker-pool shape, campaign seed, and the
+    trace / metrics output files, declared once instead of per
+    subcommand. Every campaign runs on {!Verif.Campaign.run_stream};
+    [--trace] always streams through a campaign sink while workers
+    run. *)
 
 type common = {
-  jobs : int;  (** worker domains (default 1) *)
-  chunk : int option;  (** jobs claimed per queue acquisition *)
+  jobs : int;  (** worker domains (default 1; at least 1) *)
+  chunk : int option;  (** jobs claimed per queue acquisition (>= 1) *)
   seed : int;  (** campaign master seed *)
   backend : Minic.Exec.kind;  (** [--backend interp|vm|auto] *)
   trace_file : string option;  (** [--trace FILE.jsonl] *)
   metrics_file : string option;  (** [--metrics FILE.jsonl] *)
-  stream : bool;
-      (** [--stream]: run {!Verif.Campaign.run_stream} (also implied by
-          [--out-shards] / [--window]) *)
-  out_shards : int option;  (** [--out-shards S]: shard the streamed trace *)
-  window : int option;  (** [--window W]: reassembly-window bound *)
+  out_shards : int option;
+      (** [--out-shards S]: shard the streamed trace (>= 1) *)
+  window : int option;  (** [--window W]: reassembly-window bound (>= 1) *)
 }
 
 val backend_conv : Minic.Exec.kind Cmdliner.Arg.conv
@@ -31,23 +32,32 @@ val prop_conv : (string * string) Cmdliner.Arg.conv
 (** [NAME=EXPR] proposition definitions ([--prop]). *)
 
 val term : default_seed:int -> common Cmdliner.Term.t
-(** The [--jobs]/[--chunk]/[--seed]/[--trace]/[--metrics] terms combined;
-    [default_seed] keeps each subcommand's historical seed default. *)
+(** The [--jobs]/[--chunk]/[--seed]/[--backend]/[--trace]/[--metrics]/
+    [--out-shards]/[--window] terms combined; [default_seed] keeps each
+    subcommand's historical seed default. A count below 1 ([--jobs],
+    [--chunk], [--out-shards], [--window]) exits 2 naming the option. *)
 
 val registry : common -> Obs.Registry.t
 (** A fresh live registry when [--metrics] was given, {!Obs.Registry.null}
     otherwise. *)
 
+val trace_sinks :
+  common -> Obs.Registry.t -> jobs:int option -> Verif.Campaign.sink list
+(** The [--trace] sinks: none without [--trace], a
+    {!Verif.Campaign.jsonl_file_sink}, or a
+    {!Verif.Campaign.sharded_jsonl_sink} over [jobs] jobs under
+    [--out-shards]. Pass [~jobs:None] where the job count is decided
+    while the campaign runs ([smc]); [--out-shards] then exits 2. An
+    unwritable trace file exits 2 as [--trace: <message>]. *)
+
 val execute :
   common -> Obs.Registry.t -> Verif.Campaign.job list ->
   Verif.Campaign.summary
-(** Run the jobs on the engine the options selected: the seed
-    accumulate-then-merge engine by default, or — under [--stream] —
-    the streaming engine with the trace flowing to [--trace] (sharded
-    when [--out-shards] was given) while workers are still running.
-    Sink failures exit 2 with the failing option named. *)
+(** Run the jobs on {!Verif.Campaign.run_stream} with the options' pool
+    shape and window, the trace flowing to {!trace_sinks} while workers
+    are still running. A sink failure exits 2 as [--trace: <message>].
+    The summary's outcomes carry no events. *)
 
-val finish : common -> Obs.Registry.t -> Verif.Campaign.summary -> unit
-(** Write the merged campaign trace ([--trace], charged to the merge
-    stage timer) and the metrics snapshot ([--metrics]). Unwritable
-    files exit 2 with the failing option named. *)
+val write_metrics : common -> Obs.Registry.t -> unit
+(** Write the metrics snapshot ([--metrics]). An unwritable file exits
+    2 with the option named. *)

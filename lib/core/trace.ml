@@ -129,22 +129,6 @@ let kind_label = function
   | Watchdog_fired _ -> "watchdog_fired"
   | Software_crashed _ -> "software_crashed"
 
-let pp_event fmt (event : event) =
-  Format.fprintf fmt "[%6d @%-8d] %s" event.seq event.time_unit
-    (kind_label event.kind);
-  match event.kind with
-  | Trigger -> ()
-  | Sample { prop; value } -> Format.fprintf fmt " %s=%b" prop value
-  | Verdict_change { property; verdict } ->
-    Format.fprintf fmt " %s -> %a" property Verdict.pp verdict
-  | Handshake_armed { source } -> Format.fprintf fmt " source=%s" source
-  | Test_case_begin { index; op } -> Format.fprintf fmt " #%d op=%s" index op
-  | Test_case_end { index; result } ->
-    Format.fprintf fmt " #%d result=%s" index
-      (match result with None -> "<timeout>" | Some r -> r)
-  | Watchdog_fired { index; op } -> Format.fprintf fmt " #%d op=%s" index op
-  | Software_crashed { reason } -> Format.fprintf fmt " reason=%s" reason
-
 (* The streaming campaign engine renders every event of every job through
    this path, so it appends directly into the caller's buffer: no member
    list, no intermediate strings, no [Json.obj] concatenation. The bytes
@@ -354,32 +338,6 @@ let event_of_json line =
 
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)
-
-let log_sink fmt =
-  {
-    on_event = (fun event -> Format.fprintf fmt "%a@." pp_event event);
-    on_close = (fun () -> Format.pp_print_flush fmt ());
-  }
-
-let jsonl_sink channel =
-  {
-    on_event =
-      (fun event ->
-        output_string channel (event_to_json event);
-        output_char channel '\n');
-    on_close = (fun () -> flush channel);
-  }
-
-let jsonl_file path =
-  let channel = open_out path in
-  let inner = jsonl_sink channel in
-  {
-    inner with
-    on_close =
-      (fun () ->
-        inner.on_close ();
-        close_out channel);
-  }
 
 let memory_sink () =
   let buffered = ref [] in

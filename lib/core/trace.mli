@@ -3,10 +3,11 @@
     Everything the checker stack observes — triggers, proposition samples,
     verdict changes, the ESW-monitor handshake, test-case boundaries,
     watchdogs and software crashes — is published as a typed event on a
-    bus. Sinks subscribe to the bus: a human-readable log, a JSONL file, or
-    an in-memory buffer for tests. The {!null} bus is a shared disabled
-    instance; emitting into it costs one branch, so hot paths stay fast
-    when tracing is off (guard allocations with {!enabled}).
+    bus. Sinks subscribe to the bus; a campaign job's bus buffers its
+    events in memory ({!memory_sink}) and the campaign renders them as
+    JSONL. The {!null} bus is a shared disabled instance; emitting into
+    it costs one branch, so hot paths stay fast when tracing is off
+    (guard allocations with {!enabled}).
 
     The bus also keeps cheap aggregate counters (triggers, samples,
     triggers/second) that are maintained even when no sink is attached. *)
@@ -58,7 +59,7 @@ val set_time_source : t -> (unit -> int) -> unit
 val emit : t -> kind -> unit
 
 val close : t -> unit
-(** Close every attached sink (flushes the JSONL file sink). *)
+(** Close every attached sink. *)
 
 (** {2 Aggregate counters} *)
 
@@ -71,25 +72,15 @@ val triggers_per_sec : t -> float
 
 (** {2 Sinks} *)
 
-val log_sink : Format.formatter -> sink
-(** Human-readable, one line per event. *)
-
-val jsonl_sink : out_channel -> sink
-(** One JSON object per line; the channel is not closed by [on_close]
-    (only flushed). *)
-
-val jsonl_file : string -> sink
-(** Like {!jsonl_sink} into a fresh file; [on_close] closes the file. *)
-
 val memory_sink : unit -> sink * (unit -> event list)
-(** Buffering sink for tests; the closure returns events oldest first. *)
+(** Buffering sink; the closure returns events oldest first. Every
+    campaign job traces into one of these; files are written by the
+    campaign's sinks ([Verif.Campaign.jsonl_file_sink]). *)
 
 (** {2 Rendering and parsing} *)
 
 val kind_label : kind -> string
 (** The JSON ["event"] tag, e.g. ["verdict_change"]. *)
-
-val pp_event : Format.formatter -> event -> unit
 
 val event_to_json : event -> string
 (** One-line JSON object (no trailing newline). *)

@@ -217,7 +217,3 @@ let smc_succeeded ?prop (outcome : Verif.Campaign.outcome) =
 let run_campaign ?workers ?chunk plan =
   Verif.Campaign.run ~metrics:plan.metrics ?workers ?chunk
     (campaign_jobs plan)
-
-let run_campaign_stream ?workers ?chunk ?window ?sinks plan =
-  Verif.Campaign.run_stream ~metrics:plan.metrics ?workers ?chunk ?window
-    ?sinks (campaign_jobs plan)

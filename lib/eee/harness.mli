@@ -54,7 +54,9 @@ val approach2 :
     independent constrained-random run — expressed as {!Verif.Campaign}
     jobs. Each job builds its own booted session with stimulus derived
     from {!Stimuli.Prng.of_seed_index} of the plan seed and the job
-    index, so campaign results are reproducible for any worker count. *)
+    index, so campaign results are reproducible for any worker count.
+    To stream a campaign, pass {!campaign_jobs} to
+    {!Verif.Campaign.run_stream} with [~metrics:plan.metrics]. *)
 
 type plan = {
   ops : Eee_spec.op list;
@@ -93,21 +95,10 @@ val campaign_jobs : plan -> Verif.Campaign.job list
     workers never race to force them. *)
 
 val run_campaign : ?workers:int -> ?chunk:int -> plan -> Verif.Campaign.summary
-(** {!Verif.Campaign.run} over {!campaign_jobs}; [chunk] is the number
-    of consecutive jobs a worker claims per queue-mutex acquisition
-    (scheduling only — results are identical for any value). *)
-
-val run_campaign_stream :
-  ?workers:int ->
-  ?chunk:int ->
-  ?window:int ->
-  ?sinks:Verif.Campaign.sink list ->
-  plan ->
-  Verif.Campaign.summary
-(** {!Verif.Campaign.run_stream} over {!campaign_jobs}: outcomes flow
-    to [sinks] in job order as soon as ordering allows, under a bounded
-    reassembly [window] — the JSONL a streaming sink receives is byte
-    for byte what {!run_campaign} plus [Campaign.to_jsonl] produces. *)
+(** {!Verif.Campaign.run} (the collecting run) over {!campaign_jobs};
+    [chunk] is the number of consecutive jobs a worker claims per
+    queue-mutex acquisition (scheduling only — results are identical for
+    any value). *)
 
 (** {2 Statistical model checking}
 

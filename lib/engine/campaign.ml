@@ -131,18 +131,16 @@ let metered_execute meters index job =
    (and the pool) keeps running. *)
 let default_chunk ~count ~pool = max 1 (count / (pool * 4))
 
-(* The pool scaffolding shared by both engines: claim chunks, execute
-   each claimed job, hand the outcome to [deposit]. The seed engine's
-   deposit writes a private slot; the streaming engine's deposit goes
-   through the ordered reassembly buffer. [stop] is polled at chunk
-   claims only (and per job on the inline path): a claimed chunk always
-   runs to completion, keeping the executed set a contiguous prefix.
-   Returns the queue stats. *)
-let run_pool ~meters ~pool ~chunk ~count ~stop ~execute ~deposit =
+(* The pool scaffolding: claim chunks and run [step] on each claimed job
+   index (execute the job, deposit its outcome). [stop] is polled at
+   chunk claims only (and per job on the inline path): a claimed chunk
+   always runs to completion, keeping the executed set a contiguous
+   prefix. Returns the queue stats. *)
+let run_pool ~meters ~pool ~chunk ~count ~stop step =
   if pool = 1 then begin
     let index = ref 0 in
     while !index < count && not (stop ()) do
-      deposit (execute !index);
+      step !index;
       incr index
     done;
     { chunk; acquisitions = 0; contention = 0 }
@@ -182,7 +180,7 @@ let run_pool ~meters ~pool ~chunk ~count ~stop ~execute ~deposit =
       | None -> ()
       | Some (lo, hi) ->
         for index = lo to hi - 1 do
-          deposit (execute index)
+          step index
         done;
         drain ()
     in
@@ -196,43 +194,7 @@ let run_pool ~meters ~pool ~chunk ~count ~stop ~execute ~deposit =
     }
   end
 
-let pool_shape ?chunk ~workers count =
-  let pool = max 1 (min workers count) in
-  let chunk =
-    match chunk with Some c -> max 1 c | None -> default_chunk ~count ~pool
-  in
-  (pool, chunk)
-
-(* --- the seed engine: accumulate every outcome, merge afterwards -------- *)
-
-let run ?(metrics = Registry.null) ?(workers = 1) ?chunk jobs =
-  let meters = make_meters metrics in
-  let started = Unix.gettimeofday () in
-  let jobs = Array.of_list jobs in
-  let count = Array.length jobs in
-  let pool, chunk = pool_shape ?chunk ~workers count in
-  let slots = Array.make count None in
-  (* Each slot is written by exactly one worker (the one whose chunk
-     covers the index) and read only after every domain joined. *)
-  let queue =
-    run_pool ~meters ~pool ~chunk ~count
-      ~stop:(fun () -> false)
-      ~execute:(fun index -> metered_execute meters index jobs.(index))
-      ~deposit:(fun outcome -> slots.(outcome.index) <- Some outcome)
-  in
-  let outcomes =
-    Array.to_list slots
-    |> List.map (function Some outcome -> outcome | None -> assert false)
-  in
-  {
-    outcomes;
-    workers = pool;
-    wall_seconds = Unix.gettimeofday () -. started;
-    queue;
-    stream = None;
-  }
-
-(* --- the streaming engine: ordered reassembly, bounded window ----------- *)
+(* --- the engine: ordered reassembly, bounded window ---------------------- *)
 
 (* Finished jobs are handed to this buffer on whatever domain ran them;
    outcomes leave strictly in job order. The frontier [r_next] is the
@@ -268,10 +230,10 @@ let renumber reassembly events =
 
 (* Emission runs under the reassembly lock: sinks are called serially,
    in ascending job order, with events renumbered to the campaign-global
-   sequence — the bytes a streaming JSONL sink writes are exactly those
-   of the seed engine's end-of-run merge. A raising sink is disabled for
-   the rest of the run (the error resurfaces after the pool joins); the
-   frontier keeps advancing so no worker is left waiting. *)
+   sequence — the bytes a JSONL sink writes are exactly those of
+   [to_jsonl] over the collected outcomes. A raising sink is disabled
+   for the rest of the run (the error resurfaces after the pool joins);
+   the frontier keeps advancing so no worker is left waiting. *)
 let emit_locked reassembly meters sinks outcome =
   let started =
     if meters.metered then Unix.gettimeofday () else 0.0
@@ -340,7 +302,10 @@ let run_stream ?(metrics = Registry.null) ?(workers = 1) ?chunk ?window
   let started = Unix.gettimeofday () in
   let jobs = Array.of_list jobs in
   let count = Array.length jobs in
-  let pool, chunk = pool_shape ?chunk ~workers count in
+  let pool = max 1 (min workers count) in
+  let chunk =
+    match chunk with Some c -> max 1 c | None -> default_chunk ~count ~pool
+  in
   let window =
     match window with Some w -> max 1 w | None -> default_window ~pool
   in
@@ -360,14 +325,15 @@ let run_stream ?(metrics = Registry.null) ?(workers = 1) ?chunk ?window
       r_slots = Array.make count None;
     }
   in
+  let stop =
+    match cancel with
+    | None -> fun () -> false
+    | Some token -> fun () -> cancelled token
+  in
   let queue =
-    run_pool ~meters ~pool ~chunk ~count
-      ~stop:
-        (match cancel with
-        | None -> fun () -> false
-        | Some token -> fun () -> cancelled token)
-      ~execute:(fun index -> metered_execute meters index jobs.(index))
-      ~deposit:(fun outcome -> deposit reassembly meters sinks outcome)
+    run_pool ~meters ~pool ~chunk ~count ~stop (fun index ->
+        deposit reassembly meters sinks
+          (metered_execute meters index jobs.(index)))
   in
   List.iter
     (fun sink ->
@@ -406,6 +372,24 @@ let run_stream ?(metrics = Registry.null) ?(workers = 1) ?chunk ?window
           cancelled_jobs = count - executed;
         };
   }
+
+(* The collecting run: one sink keeps every outcome, events included, in
+   emission order. Everything is retained anyway, so the window spans the
+   whole campaign and no deposit ever waits. *)
+let run ?metrics ?workers ?chunk jobs =
+  let collected = ref [] in
+  let collect =
+    {
+      on_outcome = (fun outcome -> collected := outcome :: !collected);
+      on_close = (fun () -> ());
+    }
+  in
+  let summary =
+    run_stream ?metrics ?workers ?chunk
+      ~window:(max 1 (List.length jobs))
+      ~sinks:[ collect ] jobs
+  in
+  { summary with outcomes = List.rev !collected }
 
 (* --- streaming sinks ----------------------------------------------------- *)
 
@@ -494,10 +478,13 @@ let errors summary =
       match o.result with Error e -> Some (o.label, e) | Ok _ -> None)
     summary.outcomes
 
+(* collected outcomes already carry the campaign-global seq, so their
+   events are shared, not copied; only job-local numbering is rewritten *)
 let events summary =
   summary.outcomes
   |> List.concat_map (fun o -> o.events)
-  |> List.mapi (fun seq event -> { event with Trace.seq })
+  |> List.mapi (fun seq (event : Trace.event) ->
+         if event.seq = seq then event else { event with Trace.seq })
 
 let to_jsonl ?(metrics = Registry.null) summary =
   Registry.Timer.time
@@ -510,11 +497,6 @@ let to_jsonl ?(metrics = Registry.null) summary =
           Buffer.add_char buffer '\n')
         (events summary);
       Buffer.contents buffer)
-
-let write_jsonl ?metrics path summary =
-  let oc = open_out_bin path in
-  output_string oc (to_jsonl ?metrics summary);
-  close_out oc
 
 let verdicts summary =
   List.concat_map

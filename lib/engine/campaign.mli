@@ -7,28 +7,24 @@
     producing a {!Result.t} — fanned out over a fixed pool of
     [Domain.spawn] workers pulling from a mutex-protected queue.
 
-    Two engines share the pool:
+    There is one engine, {!run_stream}: workers hand finished outcomes
+    to an ordered reassembly buffer that emits them to {!sink}s strictly
+    in job order as soon as the order allows, with a bounded window and
+    backpressure. Live memory stays bounded by window + workers outcomes
+    instead of the whole campaign, and the merge cost is paid
+    incrementally while workers are still simulating. {!run} is
+    {!run_stream} with one sink that collects every outcome, events
+    included, for callers that want the whole campaign in memory.
 
-    - {!run} — the seed engine: every outcome (with its full event
-      buffer) is accumulated, and the merge happens after the pool
-      joins. Simple, and kept as the differential oracle.
-    - {!run_stream} — the streaming engine: workers hand finished
-      outcomes to an ordered reassembly buffer that emits them to
-      {!sink}s strictly in job order as soon as the order allows, with
-      a bounded window and backpressure. Live memory stays bounded by
-      window + workers outcomes instead of the whole campaign, and the
-      merge cost is paid incrementally while workers are still
-      simulating.
-
-    Determinism contract (both engines): output is ordered by job
-    index, never by completion order, and every job gets a private
-    in-memory trace bus whose buffered events are concatenated in job
-    order — so verdict vectors, merged counters and JSONL trace output
-    are byte-identical for 1 worker and N workers, and a streaming
-    JSONL sink writes exactly the bytes of the seed engine's
-    {!to_jsonl}. Jobs must not share mutable state: a job builds its
-    own session inside the engine and derives its stimulus from
-    {!Stimuli.Prng.of_seed_index}, not from a shared generator. *)
+    Determinism contract: output is ordered by job index, never by
+    completion order, and every job gets a private in-memory trace bus
+    whose buffered events are concatenated in job order — so verdict
+    vectors, merged counters and JSONL trace output are byte-identical
+    for 1 worker and N workers, and a JSONL sink writes exactly the
+    bytes of {!to_jsonl} over the collected outcomes. Jobs must not
+    share mutable state: a job builds its own session inside the engine
+    and derives its stimulus from {!Stimuli.Prng.of_seed_index}, not
+    from a shared generator. *)
 
 type job = {
   label : string;  (** shown in reports and error messages *)
@@ -44,10 +40,10 @@ type outcome = {
       (** [Error] carries the printed exception of a crashed job; a crash
           is confined to its job and never poisons the pool *)
   events : Trace.event list;
-      (** the job's trace. Job-local [seq] in {!run} summaries;
-          campaign-global [seq] as delivered to streaming sinks; always
-          [[]] in {!run_stream} summaries (events are handed to the
-          sinks, not retained) *)
+      (** the job's trace, with campaign-global [seq] as delivered to
+          the sinks (and so in {!run} summaries); always [[]] in
+          {!run_stream} summaries (events are handed to the sinks, not
+          retained) *)
 }
 
 type queue_stats = {
@@ -76,7 +72,8 @@ type summary = {
   wall_seconds : float;  (** wall clock of the whole campaign *)
   queue : queue_stats;  (** zero acquisitions for the inline 1-worker path *)
   stream : stream_stats option;
-      (** [None] for the seed engine, [Some] for {!run_stream} *)
+      (** always [Some] from {!run} and {!run_stream}; [None] only in
+          summaries built by hand *)
 }
 
 (** A streaming consumer of campaign outcomes. [on_outcome] is called
@@ -116,21 +113,11 @@ val cancelled : cancellation -> bool
 
 val run :
   ?metrics:Obs.Registry.t -> ?workers:int -> ?chunk:int -> job list -> summary
-(** Execute the campaign on [workers] domains (default 1; clamped to the
-    number of jobs). [workers = 1] runs inline on the calling domain; for
-    [workers = N] the calling domain participates alongside [N - 1]
-    spawned domains. Workers claim [chunk] consecutive job indices per
-    queue-mutex acquisition (default: ~4 claims per worker, at least 1);
-    the chunk size affects only scheduling, never the merged output. Job
-    exceptions are caught per job, even mid-chunk.
-
-    With a live [metrics] registry (default {!Obs.Registry.null}) the
-    pool records [campaign_jobs_total], [campaign_job_errors_total],
-    [campaign_chunk_claims_total], the [campaign_job_seconds] runtime
-    histogram and the per-worker [campaign_queue_wait_seconds] wait
-    histogram. Workers record into per-domain cells and never serialize
-    on a metrics lock; recording never affects verdicts, the merge
-    order, or the trace JSONL. *)
+(** {!run_stream} with one sink that collects every outcome in emission
+    order and a window as large as the campaign (so no deposit ever
+    waits). The summary's [outcomes] keep their events, already
+    renumbered to the campaign-global [seq] in job order; [stream] is
+    [Some _]. *)
 
 val run_stream :
   ?metrics:Obs.Registry.t ->
@@ -141,8 +128,15 @@ val run_stream :
   ?sinks:sink list ->
   job list ->
   summary
-(** Like {!run}, but outcomes flow to [sinks] incrementally through an
-    ordered reassembly buffer instead of accumulating until the end.
+(** Execute the campaign on [workers] domains (default 1; clamped to the
+    number of jobs), handing outcomes to [sinks] in job order through
+    an ordered reassembly buffer. [workers = 1] runs inline on the
+    calling domain; for [workers = N] the calling domain participates
+    alongside [N - 1] spawned domains. Workers claim [chunk] consecutive
+    job indices per queue-mutex acquisition (default: ~4 claims per
+    worker, at least 1); the chunk size affects only scheduling, never
+    the merged output. Job exceptions are caught per job, even
+    mid-chunk.
 
     An outcome finishing out of order parks in the buffer until the
     frontier (the next job index to emit) reaches it. The buffer holds
@@ -166,13 +160,19 @@ val run_stream :
     [Failure]. Pass [~chunk:1] when cancellation latency matters more
     than queue traffic (the sequential-test default).
 
-    On top of {!run}'s metrics, a live [metrics] registry records the
+    With a live [metrics] registry (default {!Obs.Registry.null}) the
+    pool records [campaign_jobs_total], [campaign_job_errors_total],
+    [campaign_chunk_claims_total], the [campaign_job_seconds] runtime
+    histogram and the per-worker [campaign_queue_wait_seconds] wait
+    histogram. Workers record into per-domain cells and never serialize
+    on a metrics lock; recording never affects verdicts, the merge
+    order, or the trace JSONL. The registry also records the
     [campaign_stream_window] gauge (outcomes currently parked; sample
     it concurrently to watch the window), [campaign_stream_emitted_total],
     [campaign_backpressure_waits_total], the
     [campaign_backpressure_wait_seconds] histogram, and charges
-    per-outcome sink emission to the [merge] stage timer — the
-    streaming counterpart of {!to_jsonl}'s end-of-run merge charge. *)
+    per-outcome sink emission to the [merge] stage timer, as
+    {!to_jsonl} charges its end-of-run render. *)
 
 (** {2 Streaming sinks} *)
 
@@ -181,7 +181,8 @@ val sink : ?close:(unit -> unit) -> (outcome -> unit) -> sink
 
 val jsonl_buffer_sink : Buffer.t -> sink
 (** Append every outcome's events as JSONL into a buffer. The buffer's
-    final contents equal the seed engine's {!to_jsonl} byte for byte. *)
+    final contents equal {!to_jsonl} of the {!run} summary byte for
+    byte. *)
 
 val jsonl_channel_sink : out_channel -> sink
 (** Write every outcome's events as JSONL to a channel; each outcome is
@@ -228,9 +229,6 @@ val to_jsonl : ?metrics:Obs.Registry.t -> summary -> string
 (** {!events} rendered one JSON object per line — byte-identical for any
     worker count. A live [metrics] registry charges the render to the
     [merge] stage timer. *)
-
-val write_jsonl : ?metrics:Obs.Registry.t -> string -> summary -> unit
-(** {!to_jsonl} into a file (truncates). *)
 
 val verdicts : summary -> (string * string * Verdict.t) list
 (** [(job label, property, verdict)] across all successful jobs, job

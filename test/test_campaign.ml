@@ -127,14 +127,26 @@ let test_merge_order_and_seq () =
     (fun expected o ->
       Alcotest.(check int) "outcome index" expected o.Campaign.index)
     summary.Campaign.outcomes;
+  (* the collected outcomes already carry the campaign-global seq, in
+     job order *)
+  List.iteri
+    (fun expected seq ->
+      Alcotest.(check int) "outcome events carry campaign-global seq"
+        expected seq)
+    (List.concat_map
+       (fun o -> List.map (fun event -> event.Trace.seq) o.Campaign.events)
+       summary.Campaign.outcomes);
   (* merged events are renumbered with a campaign-global seq *)
   List.iteri
     (fun expected event ->
       Alcotest.(check int) "campaign-global seq" expected event.Trace.seq)
     (Campaign.events summary);
-  (* and every merged event survives the JSONL round trip *)
+  (* and every merged event survives the JSONL round trip through the
+     campaign's file sink *)
   let path = Filename.temp_file "campaign" ".jsonl" in
-  Campaign.write_jsonl path summary;
+  let file = Campaign.jsonl_file_sink path in
+  List.iter file.Campaign.on_outcome summary.Campaign.outcomes;
+  file.Campaign.on_close ();
   let ic = open_in path in
   let lines = ref [] in
   (try

@@ -1,17 +1,17 @@
-(* The streaming-engine safety net. Verif.Campaign.run_stream must be
-   observationally identical to the seed engine (Campaign.run, kept as
-   the differential oracle): same verdict vectors, same per-job errors,
-   same merged counters, and a JSONL sink must receive exactly the bytes
-   of the oracle's end-of-run merge — for any worker count, chunk size
-   and reassembly window, including windows far smaller than the job
-   count. On top of identity, the streaming engine's own contracts are
-   pinned here: strictly ordered emission with campaign-global seq,
+(* The campaign-engine safety net. Verif.Campaign.run_stream must be
+   observationally identical to a sequential List.map oracle defined
+   below (each job on a private in-memory bus, no pool, no reassembly):
+   same verdict vectors, same per-job errors, same merged counters, and
+   a JSONL sink must receive exactly the bytes of the oracle's to_jsonl
+   — for any worker count, chunk size and reassembly window, including
+   windows far smaller than the job count. On top of identity, the
+   engine's own contracts are pinned here: strictly ordered emission with campaign-global seq,
    crash and sink-failure containment, a backpressure window that
    actually bounds parked outcomes (asserted against a stalled job),
    sharded output whose in-order concatenation reproduces the merged
    stream byte for byte against the checked-in goldens, and a soak run
-   (TCHECK_SOAK=1) showing live memory stays bounded where the oracle's
-   accumulation grows with the campaign. *)
+   (TCHECK_SOAK=1) showing live memory stays bounded where the
+   collecting Campaign.run's accumulation grows with the campaign. *)
 
 module Campaign = Verif.Campaign
 module Session = Verif.Session
@@ -101,18 +101,47 @@ let verdict_strings summary =
     (fun (job, prop, v) -> (job, prop, Verdict.to_string v))
     (Campaign.verdicts summary)
 
+(* ---- the oracle: a sequential List.map, no pool, no reassembly --------- *)
+
+(* Each job runs on a private bus buffering its events in memory, its
+   exception caught into the outcome, and the outcomes are assembled into
+   a summary by hand — so verdicts, errors, the merged counters and
+   to_jsonl (which renumbers the job-local seq) apply to it unchanged.
+   It never calls Campaign.run or Campaign.run_stream. *)
+let oracle jobs =
+  let outcome index (job : Campaign.job) =
+    let bus = Trace.create () in
+    let sink, buffered = Trace.memory_sink () in
+    Trace.attach bus sink;
+    let result =
+      match job.Campaign.run bus with
+      | result -> Ok result
+      | exception exn -> Error (Printexc.to_string exn)
+    in
+    Trace.close bus;
+    { Campaign.index; label = job.Campaign.label; result;
+      events = buffered () }
+  in
+  {
+    Campaign.outcomes = List.mapi outcome jobs;
+    workers = 1;
+    wall_seconds = 0.0;
+    queue = { Campaign.chunk = 1; acquisitions = 0; contention = 0 };
+    stream = None;
+  }
+
 let crashes variants = List.length (List.filter (fun v -> v mod variant_count = 4) variants)
 
-(* run the oracle and the streaming engine on the same job list and
-   check every observable matches; returns the stream summary for
-   engine-specific assertions on top *)
+(* run the oracle and the engine on the same job list and check every
+   observable matches; returns the stream summary for engine-specific
+   assertions on top *)
 let check_identical ?(label = "") ~workers ?chunk ?window variants =
   let tag suffix =
     Printf.sprintf "%sworkers=%d window=%s: %s" label workers
       (match window with Some w -> string_of_int w | None -> "default")
       suffix
   in
-  let oracle = Campaign.run ~workers:1 (make_jobs variants) in
+  let oracle = oracle (make_jobs variants) in
   let metrics = Registry.create () in
   let buffer = Buffer.create 4096 in
   let stream =
@@ -160,7 +189,7 @@ let check_identical ?(label = "") ~workers ?chunk ?window variants =
 
 (* ---- fixed differential across the acceptance worker counts ------------ *)
 
-let test_stream_matches_seed () =
+let test_stream_matches_oracle () =
   List.iter
     (fun workers -> ignore (check_identical ~workers fixed_mix))
     [ 1; 2; 4; 7 ]
@@ -466,7 +495,7 @@ let remove_shards path shards =
 
 (* a multi-job EEE campaign over 3 shards: every shard file exists, the
    flush counters ran, and concatenation in shard order reproduces the
-   oracle's merged JSONL byte for byte *)
+   collecting run's merged JSONL byte for byte *)
 let test_sharded_concat_identity () =
   let plan =
     {
@@ -480,18 +509,18 @@ let test_sharded_concat_identity () =
       seed = 23;
     }
   in
-  let oracle = Harness.run_campaign ~workers:1 plan in
+  let collected = Harness.run_campaign ~workers:1 plan in
   Alcotest.(check (list (pair string string))) "no job errors" []
-    (Campaign.errors oracle);
+    (Campaign.errors collected);
   let shards = 3 in
   let jobs = List.length (Harness.campaign_jobs plan) in
   Alcotest.(check int) "four jobs in the plan" 4 jobs;
   let path = Filename.temp_file "stream_shards" ".jsonl" in
   let metrics = Registry.create () in
   let summary =
-    Harness.run_campaign_stream ~workers:2 ~chunk:1
+    Campaign.run_stream ~metrics ~workers:2 ~chunk:1
       ~sinks:[ Campaign.sharded_jsonl_sink ~metrics ~shards ~jobs path ]
-      { plan with Harness.metrics }
+      (Harness.campaign_jobs { plan with Harness.metrics })
   in
   Alcotest.(check (list (pair string string))) "no stream job errors" []
     (Campaign.errors summary);
@@ -502,8 +531,8 @@ let test_sharded_concat_identity () =
         true
         (Sys.file_exists (Campaign.shard_path path ~shard)))
     (List.init shards Fun.id);
-  Alcotest.(check string) "shard concatenation == oracle merge"
-    (Campaign.to_jsonl oracle)
+  Alcotest.(check string) "shard concatenation == collected merge"
+    (Campaign.to_jsonl collected)
     (concat_shards path shards);
   Alcotest.(check bool) "per-shard flushes recorded" true
     (Registry.total metrics "campaign_shard_flushes_total" > 0);
@@ -549,9 +578,9 @@ let test_streamed_shards_match_golden () =
   let jobs = List.length (Harness.campaign_jobs golden_plan) in
   let path = Filename.temp_file "stream_golden" ".jsonl" in
   let summary =
-    Harness.run_campaign_stream ~workers:2
+    Campaign.run_stream ~workers:2
       ~sinks:[ Campaign.sharded_jsonl_sink ~shards ~jobs path ]
-      golden_plan
+      (Harness.campaign_jobs golden_plan)
   in
   Alcotest.(check (list (pair string string))) "no job errors" []
     (Campaign.errors summary);
@@ -568,8 +597,8 @@ let live_words () =
   (Gc.stat ()).Gc.live_words
 
 (* approach 1 triggers on every clock cycle, so even a small campaign
-   accumulates a megabyte-scale trace in the oracle — exactly the
-   contrast the streaming engine exists to remove. The smoke always
+   accumulates a megabyte-scale trace in the collecting Campaign.run —
+   exactly the contrast streaming exists to remove. The smoke always
    runs at scale 1; TCHECK_SOAK=1 raises the scale (TCHECK_SOAK_SCALE,
    default 8) for the overnight-style soak. *)
 let soak_check ~scale () =
@@ -585,15 +614,15 @@ let soak_check ~scale () =
   in
   let tag suffix = Printf.sprintf "scale %d: %s" scale suffix in
   let base = live_words () in
-  let oracle = Harness.run_campaign ~workers:2 plan in
-  let oracle_jsonl = Campaign.to_jsonl oracle in
-  let oracle_live = live_words () - base in
+  let collected = Harness.run_campaign ~workers:2 plan in
+  let collected_jsonl = Campaign.to_jsonl collected in
+  let collected_live = live_words () - base in
   let path = Filename.temp_file "stream_soak" ".jsonl" in
   let base = live_words () in
   let summary =
-    Harness.run_campaign_stream ~workers:2
+    Campaign.run_stream ~workers:2
       ~sinks:[ Campaign.jsonl_file_sink path ]
-      plan
+      (Harness.campaign_jobs plan)
   in
   let stream_live = live_words () - base in
   Alcotest.(check (list (pair string string))) (tag "no job errors") []
@@ -602,14 +631,14 @@ let soak_check ~scale () =
     (tag "identical verdicts")
     (List.map
        (fun (j, p, v) -> (j, p, Verdict.to_string v))
-       (Campaign.verdicts oracle))
+       (Campaign.verdicts collected))
     (List.map
        (fun (j, p, v) -> (j, p, Verdict.to_string v))
        (Campaign.verdicts summary));
   let streamed = read_file path in
   Sys.remove path;
-  Alcotest.(check bool) (tag "streamed file == oracle merge") true
-    (String.equal oracle_jsonl streamed);
+  Alcotest.(check bool) (tag "streamed file == collected merge") true
+    (String.equal collected_jsonl streamed);
   (match summary.Campaign.stream with
   | None -> Alcotest.fail (tag "stream stats missing")
   | Some stats ->
@@ -621,15 +650,16 @@ let soak_check ~scale () =
       (tag "peak within the window")
       true
       (stats.Campaign.peak_window <= stats.Campaign.window));
-  (* the point of the exercise: the oracle's retention grows with the
-     campaign; the stream's does not. The absolute cap is generous —
-     the stream retains a window of stripped outcomes, not traces. *)
+  (* the point of the exercise: the collecting run's retention grows
+     with the campaign; the stream's does not. The absolute cap is
+     generous — the stream retains a window of stripped outcomes, not
+     traces. *)
   Alcotest.(check bool)
-    (Printf.sprintf "%s (stream %d words, oracle %d words)"
-       (tag "stream retains less than the oracle")
-       stream_live oracle_live)
+    (Printf.sprintf "%s (stream %d words, collected %d words)"
+       (tag "stream retains less than the collecting run")
+       stream_live collected_live)
     true
-    (stream_live < oracle_live);
+    (stream_live < collected_live);
   Alcotest.(check bool)
     (Printf.sprintf "%s (%d words)" (tag "stream retention under 2M words")
        stream_live)
@@ -662,7 +692,7 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "stream == seed for workers 1/2/4/7" `Quick
-            test_stream_matches_seed;
+            test_stream_matches_oracle;
           Alcotest.test_case "window=1 changes scheduling only" `Quick
             test_tiny_window_identity;
           QCheck_alcotest.to_alcotest qcheck_differential;
