@@ -1,7 +1,6 @@
 module Registry = Obs.Registry
 
 type engine = Engine.t = Otf | Explicit | Il
-type syntax = Fltl | Psl | Auto
 
 type property = {
   prop_name : string;
@@ -249,13 +248,10 @@ let add_property ?(engine = Engine.default) ?max_states checker ~name formula =
       |];
   checker.plan_stale <- true
 
-let add_property_text ?engine ?max_states ?(syntax = Fltl) checker ~name text =
-  let prop_syntax =
-    match syntax with Fltl -> `Fltl | Psl -> `Psl | Auto -> `Auto
-  in
+let add_property_text ?engine ?max_states ?syntax checker ~name text =
   let formula =
     Registry.Timer.time checker.meters.m_parse (fun () ->
-        Prop.parse_exn ~syntax:prop_syntax text)
+        Prop.parse_exn ?syntax text)
   in
   add_property ?engine ?max_states checker ~name formula
 

@@ -31,8 +31,6 @@ type engine = Engine.t = Otf | Explicit | Il
     end; see {!Engine} for the semantics of each constructor and the
     string/CLI conversions. *)
 
-type syntax = Fltl | Psl | Auto
-
 val create :
   ?trace:Trace.t -> ?metrics:Obs.Registry.t -> name:string -> unit -> t
 (** [trace] defaults to {!Trace.null} (no events published); [metrics]
@@ -85,13 +83,13 @@ val add_property :
 val add_property_text :
   ?engine:engine ->
   ?max_states:int ->
-  ?syntax:syntax ->
+  ?syntax:Prop.syntax ->
   t ->
   name:string ->
   string ->
   unit
-(** Parse via {!Prop.parse_exn} and add ([syntax] defaults to [Fltl] for
-    compatibility; [Auto] applies {!Prop.detect_syntax}).
+(** Parse via {!Prop.parse_exn} and add ([syntax] defaults to [`Auto], as
+    in {!Prop.parse}).
     @raise Prop.Parse_error on malformed property text. *)
 
 val property_names : t -> string list

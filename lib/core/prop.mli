@@ -1,21 +1,52 @@
-(** The single property-parsing entry point.
+(** The single property parser.
 
     SCTC accepts properties in FLTL or the PSL foundation-language
-    subset; historically each syntax had its own [parse]/[parse_result]
-    pair with string-rendered errors ({!Fltl_parser}, {!Psl}). This
-    module unifies them behind one entry with a structured error, and
-    is what {!Checker.add_property_text}, [Verif.Session], the [tcheck]
-    CLI and the examples parse through. The old per-syntax entries
-    remain as thin deprecated wrappers for external callers.
+    subset. One recursive descent over the {!Fltl_lexer} token stream
+    serves both; it is what {!Checker.add_property_text},
+    [Verif.Session], the [tcheck] CLI and the examples parse through.
+    The two syntaxes share every level except [untiled] and [unary].
+
+    FLTL, lowest to highest precedence:
+    {v
+      formula  := implied ( ('<->' | 'iff') implied )*
+      implied  := ored ( ('->' | 'implies') implied )?   (right associative)
+      ored     := anded ( ('|' | '||' | 'or') anded )*
+      anded    := untiled ( ('&' | '&&' | 'and') untiled )*
+      untiled  := unary ( ('U' | 'until' | 'R' | 'release') bound? untiled )?
+      unary    := ('!' | 'not') unary
+                | 'X' unary
+                | ('F' | 'G') bound? unary
+                | atom
+      atom     := 'true' | 'false' | IDENT | '(' formula ')'
+      bound    := '[' INT ']'
+    v}
+    The paper's sample property "F (Read -> F[b] (EEE_OK | ...))" parses
+    with this grammar.
+
+    PSL maps its FL operators onto the FLTL core:
+    {v
+      always p                     ==> G p
+      never p                      ==> G !p
+      eventually p, eventually! p  ==> F p
+      next p, next! p              ==> X p
+      next[n] p, next![n] p        ==> X^n p
+      p until! q                   ==> p U q        (strong)
+      p until q                    ==> q R (p | q)  (weak until)
+      p release q                  ==> p R q
+      not/and/or/implies/iff and the symbol forms
+    v}
+    SEREs (sequence expressions) are out of scope: the paper's property
+    set uses only the FL subset above.
 
     Syntax selection:
-    - [`Fltl] / [`Psl]: exactly {!Fltl_parser.parse} / {!Psl.parse}.
+    - [`Fltl] / [`Psl]: that grammar only ([X F G U R] are not PSL,
+      [always never eventually next] are not FLTL).
     - [`Auto] (the default): PSL when a PSL-only keyword ([always],
       [never], [eventually], [next]) appears in the token stream,
       FLTL otherwise. [until]/[release] appear in both grammars (FLTL
       reads them as the strong [U]/[R], PSL's bare [until] is weak), so
       they deliberately do {e not} flip detection — bare-word texts
-      keep their historical FLTL meaning. *)
+      keep their historical FLTL meaning. The text is tokenized once. *)
 
 type syntax = [ `Fltl | `Psl | `Auto ]
 

@@ -495,7 +495,6 @@ let create ?compiled ?derived ?info config backend =
     config.propositions;
   List.iter
     (fun (name, text) ->
-      Checker.add_property_text ~engine:config.engine ~syntax:Checker.Auto chk
-        ~name text)
+      Checker.add_property_text ~engine:config.engine chk ~name text)
     config.properties;
   session

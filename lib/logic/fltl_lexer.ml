@@ -177,7 +177,9 @@ let tokenize text =
       while !index < length && is_digit text.[!index] do
         advance ()
       done;
-      emit (INT (int_of_string (String.sub text start (!index - start)))) pos
+      (match int_of_string_opt (String.sub text start (!index - start)) with
+      | Some n -> emit (INT n) pos
+      | None -> raise (Lex_error ("integer literal out of range", pos)))
     | c when is_ident_start c ->
       let start = !index in
       while !index < length && is_ident_char text.[!index] do

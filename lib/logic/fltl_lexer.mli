@@ -1,7 +1,7 @@
-(** Shared lexer for the FLTL and PSL property syntaxes.
+(** Shared lexer for the FLTL and PSL property syntaxes ([Sctc.Prop]).
 
     Reserved words (case-sensitive): [X F G U R true false] and the PSL
-    keywords [always never eventually next until release abort and or not
+    keywords [always never eventually next until release and or not
     implies iff]. Everything else matching [[A-Za-z_][A-Za-z0-9_]*] is a
     proposition name. Comments: [/* ... */] and [// ...]. *)
 
@@ -44,5 +44,6 @@ exception Lex_error of string * position
 val token_to_string : token -> string
 
 (** [tokenize text] is the token stream with source positions.
-    @raise Lex_error on illegal characters or unterminated comments. *)
+    @raise Lex_error on illegal characters, unterminated comments or
+    integer literals beyond [max_int]. *)
 val tokenize : string -> (token * position) list

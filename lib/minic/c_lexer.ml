@@ -143,6 +143,13 @@ let is_digit c = c >= '0' && c <= '9'
 let is_hex_digit c =
   is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
+(* literals wrap to the 32-bit machine word; beyond OCaml's [int] they are
+   rejected rather than wrapped *)
+let int_literal digits pos =
+  match int_of_string_opt digits with
+  | Some n -> INT_LIT (Value.wrap n)
+  | None -> raise (Lex_error ("integer literal out of range", pos))
+
 let tokenize text =
   let length = String.length text in
   let tokens = ref [] in
@@ -250,14 +257,14 @@ let tokenize text =
       done;
       if !index = start then raise (Lex_error ("empty hex literal", pos));
       let digits = String.sub text start (!index - start) in
-      emit (INT_LIT (Value.wrap (int_of_string ("0x" ^ digits)))) pos
+      emit (int_literal ("0x" ^ digits) pos) pos
     | c when is_digit c ->
       let start = !index in
       while !index < length && is_digit text.[!index] do
         advance ()
       done;
       let digits = String.sub text start (!index - start) in
-      emit (INT_LIT (Value.wrap (int_of_string digits))) pos
+      emit (int_literal digits pos) pos
     | c when is_ident_start c ->
       let start = !index in
       while !index < length && is_ident_char text.[!index] do

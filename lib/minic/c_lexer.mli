@@ -63,3 +63,5 @@ exception Lex_error of string * position
 
 val token_to_string : token -> string
 val tokenize : string -> (token * position) list
+(** @raise Lex_error on illegal characters, unterminated comments, empty
+    hex literals or integer literals beyond OCaml's [int]. *)

@@ -52,13 +52,15 @@ let test_spec_properties_parse () =
   List.iter
     (fun op ->
       let text = Spec.property_text ~bound:1000 op in
-      match Fltl_parser.parse_result text with
+      match Sctc.Prop.parse text with
       | Ok f ->
         Alcotest.(check bool)
           (Spec.op_name op ^ " property has a bound")
           true
           (Formula.max_bound f = Some 1000)
-      | Error msg -> Alcotest.failf "property does not parse: %s" msg)
+      | Error error ->
+        Alcotest.failf "property does not parse: %s"
+          (Sctc.Prop.error_to_string error))
     Spec.all_ops
 
 (* --- functional behaviour (fast: approach 2, no faults) ------------------- *)

@@ -360,6 +360,44 @@ let qcheck_approach1_equals_approach2 =
                  (Verdict.to_string v1) (Verdict.to_string v2)
           | _ -> true))
 
+(* ---- parser robustness: random token soups ---------------------------- *)
+
+(* words of both lexers (property and MiniC), glued with spaces, newlines
+   or nothing; digit runs are short or at least 20 digits (beyond max_int:
+   short ones keep PSL's next[n] cheap) *)
+let gen_soup =
+  let open QCheck.Gen in
+  let word =
+    oneofl
+      [ "a"; "p"; "x1"; "true"; "false"; "X"; "F"; "G"; "U"; "R"; "always";
+        "never"; "eventually"; "next"; "until"; "release"; "and"; "or"; "not";
+        "implies"; "iff"; "int"; "bool"; "void"; "const"; "if"; "else";
+        "while"; "do"; "for"; "switch"; "case"; "default"; "break"; "return";
+        "assert"; "main"; "("; ")"; "["; "]"; "{"; "}"; ";"; ","; ":"; "=";
+        "+="; "-="; "*"; "/"; "%"; "+"; "-"; "++"; "--"; "!"; "&"; "&&"; "|";
+        "||"; "^"; "~"; "<<"; ">>"; "<"; "<="; ">"; ">="; "=="; "!="; "->";
+        "<->"; "/*"; "*/"; "//"; "@"; "0x"; "0xG" ]
+  in
+  let digits lo hi = string_size ~gen:numeral (int_range lo hi) in
+  let token =
+    frequency
+      [ (8, word); (2, digits 1 3); (1, digits 20 30);
+        (1, map (( ^ ) "0x") (string_size ~gen:(oneofl [ 'F'; 'a'; '7' ]) (int_range 17 24))) ]
+  in
+  let glue = frequencyl [ (6, " "); (2, ""); (1, "\n") ] in
+  list_size (int_range 1 30) (pair glue token)
+  |> map (fun parts -> String.concat "" (List.map (fun (g, t) -> g ^ t) parts))
+
+let qcheck_parsers_never_raise =
+  QCheck.Test.make ~name:"parsers never raise (random token soups)" ~count:2000
+    (QCheck.make ~print:String.escaped gen_soup)
+    (fun text ->
+      List.iter
+        (fun syntax ->
+          match Sctc.Prop.parse ~syntax text with Ok _ | Error _ -> ())
+        [ `Fltl; `Psl; `Auto ];
+      match Minic.C_parser.parse_result text with Ok _ | Error _ -> true)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -370,4 +408,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_normalize_preserves;
           QCheck_alcotest.to_alcotest qcheck_approach1_equals_approach2;
         ] );
+      ( "robustness",
+        [ QCheck_alcotest.to_alcotest qcheck_parsers_never_raise ] );
     ]

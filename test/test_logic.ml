@@ -3,8 +3,7 @@
 
 module F = Formula
 
-(* parse through the unified front door ([Sctc.Prop]); the per-syntax
-   entry points carry a deprecation alert and are reserved to it *)
+(* parse through the one property front end, [Sctc.Prop] *)
 let parse_fltl text = Sctc.Prop.parse_exn ~syntax:`Fltl text
 let parse_psl text = Sctc.Prop.parse_exn ~syntax:`Psl text
 
@@ -147,16 +146,17 @@ let test_parse_comments () =
     (parse_fltl "G (/* block */ a -> // line\n F b)")
 
 let test_parse_errors () =
-  (match Fltl_parser.parse_result "G (a -> " with
+  let parse text = Sctc.Prop.parse ~syntax:`Fltl text in
+  (match parse "G (a -> " with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected parse error");
-  (match Fltl_parser.parse_result "a @ b" with
+  (match parse "a @ b" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected lex error");
-  match Fltl_parser.parse_result "a b" with
-  | Error msg ->
-    Alcotest.(check bool) "mentions trailing" true
-      (String.length msg > 0)
+  match parse "a b" with
+  | Error error ->
+    Alcotest.(check string) "mentions trailing" "trailing input: identifier \"b\""
+      error.Sctc.Prop.message
   | Ok _ -> Alcotest.fail "expected trailing-input error"
 
 (* round trip: printing then parsing is the identity (modulo hash-consing) *)

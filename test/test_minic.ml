@@ -202,7 +202,14 @@ let test_parse_errors () =
   expect_error "void f() { 1 + ; }";
   expect_error "int a[0];";
   expect_error "int a[x];" (* non-constant size *);
-  expect_error "void f(void) { x = ; }"
+  expect_error "void f(void) { x = ; }";
+  (* literals beyond OCaml's int are a lex error at the literal *)
+  List.iter
+    (fun source ->
+      Alcotest.(check (result reject string))
+        source (Error "1:9: integer literal out of range")
+        (Result.map ignore (C_parser.parse_result source)))
+    [ "int x = 99999999999999999999999;"; "int x = 0xFFFFFFFFFFFFFFFFFFFF;" ]
 
 (* --- typechecker ------------------------------------------------------------ *)
 

@@ -1,13 +1,8 @@
 (* Sctc.Prop is the single property-parsing entry point; these tests pin
-   its contract: exact equivalence with the legacy per-syntax parsers
-   (including every EEE case-study property), the auto-detection rule
-   (PSL keywords flip, until/release do not), the structured error
-   shape, and the checker's [Auto] text path.
-
-   The legacy-equivalence tests below are the one place outside
-   [Sctc.Prop] that may still call the deprecated [Fltl_parser.parse] /
-   [Psl.parse] — they exist to compare against them. *)
-[@@@alert "-deprecated"]
+   its contract: every row of the golden corpus (including every EEE
+   case-study property) reproduces byte for byte, the auto-detection rule
+   (PSL keywords flip, until/release do not), the structured error shape,
+   and the checker's text path. *)
 
 module Prop = Sctc.Prop
 
@@ -19,42 +14,53 @@ let formula =
   Alcotest.testable (fun fmt f -> Format.pp_print_string fmt (Formula.to_string f))
     Formula.equal
 
-(* ---- equivalence with the legacy entries -------------------------------- *)
+(* ---- the golden corpus --------------------------------------------------- *)
 
-let eee_property_texts () =
-  List.concat_map
-    (fun op ->
-      [
-        Eee.Eee_spec.property_text op;
-        Eee.Eee_spec.property_text ~bound:1000 op;
-      ])
-    Eee.Eee_spec.all_ops
+(* golden/prop_corpus.tsv, one row per (syntax, text):
+   [fltl|psl|auto] TAB String.escaped text TAB rendering, where the
+   rendering is [Formula.to_string] of the result or
+   [Prop.error_to_string] of the error. The texts are the EEE properties
+   (with and without a bound), the hand-written cases of this suite and
+   test_logic, bracket edge cases, grammar-directed random texts (some
+   mutated) and seeded token soups over the lexer's vocabulary.
 
-let test_fltl_equivalence () =
+   [Formula.to_string] prints and/or operands in hash-cons id order, and
+   ids follow the order in which terms are first built in the process. So
+   every row is parsed once, in file order, before any other test builds a
+   formula; the two equivalence tests share that one pass. *)
+let corpus =
+  lazy
+    (In_channel.with_open_bin "golden/prop_corpus.tsv" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+    |> List.map (fun row ->
+           match String.split_on_char '\t' row with
+           | [ mode; escaped; expected ] ->
+             let syntax =
+               match mode with
+               | "fltl" -> `Fltl
+               | "psl" -> `Psl
+               | "auto" -> `Auto
+               | _ -> Alcotest.failf "bad syntax column %S" mode
+             in
+             let text = Scanf.unescaped escaped in
+             let got =
+               match Prop.parse ~syntax text with
+               | Ok f -> Formula.to_string f
+               | Error e -> Prop.error_to_string e
+             in
+             (mode, escaped, expected, got)
+           | _ -> Alcotest.failf "malformed corpus row %S" row))
+
+let check_corpus modes () =
+  let rows =
+    List.filter (fun (mode, _, _, _) -> List.mem mode modes) (Lazy.force corpus)
+  in
+  check "corpus has rows" true (List.length rows >= 500);
   List.iter
-    (fun text ->
-      Alcotest.check formula text (Fltl_parser.parse text)
-        (Prop.parse_exn ~syntax:`Fltl text);
-      (* the EEE texts use only core FLTL operators, so auto-detection
-         must leave their meaning untouched *)
-      Alcotest.check formula (text ^ " (auto)") (Fltl_parser.parse text)
-        (Prop.parse_exn text))
-    (eee_property_texts ()
-    @ [ "G (a -> F[40] b)"; "a U[5] b"; "a R b"; "!a & (b | X c)" ])
-
-let test_psl_equivalence () =
-  List.iter
-    (fun text ->
-      Alcotest.check formula text (Psl.parse text)
-        (Prop.parse_exn ~syntax:`Psl text))
-    [
-      "always (req -> eventually! ack)";
-      "never fault";
-      "next[3] done";
-      "a until! b";
-      "a until b";
-      "a release b";
-    ]
+    (fun (mode, escaped, expected, got) ->
+      check_string (mode ^ " " ^ escaped) expected got)
+    rows
 
 (* ---- auto-detection ------------------------------------------------------ *)
 
@@ -70,11 +76,11 @@ let test_auto_detection () =
   check "until stays FLTL" true (detected "a until b" = `Fltl);
   check "release stays FLTL" true (detected "a release b" = `Fltl);
   Alcotest.check formula "auto until is the strong FLTL U"
-    (Fltl_parser.parse "a until b")
+    (Prop.parse_exn ~syntax:`Fltl "a U b")
     (Prop.parse_exn "a until b");
   check "garbage detects as FLTL" true (detected "a @ b" = `Fltl);
   Alcotest.check formula "auto picks PSL on keyword"
-    (Psl.parse "always (a -> eventually! b)")
+    (Prop.parse_exn ~syntax:`Psl "always (a -> eventually! b)")
     (Prop.parse_exn "always (a -> eventually! b)")
 
 (* ---- structured errors --------------------------------------------------- *)
@@ -96,6 +102,16 @@ let test_structured_errors () =
   (match Prop.parse ~syntax:`Psl "always" with
   | Ok _ -> Alcotest.fail "bare keyword parsed"
   | Error _ -> ());
+  (* a bound beyond max_int is a lex error at the literal, in every mode *)
+  List.iter
+    (fun syntax ->
+      match Prop.parse ~syntax "F[99999999999999999999] a" with
+      | Ok _ -> Alcotest.fail "overlong bound parsed"
+      | Error e ->
+        check_string "overlong bound"
+          "1:3: integer literal out of range in \"F[99999999999999999999] a\""
+          (Prop.error_to_string e))
+    [ `Fltl; `Psl; `Auto ];
   check "parse_exn raises Parse_error" true
     (match Prop.parse_exn "G (" with
     | exception Prop.Parse_error _ -> true
@@ -107,9 +123,10 @@ let test_checker_auto_text () =
   let checker = Sctc.Checker.create ~name:"prop-test" () in
   Sctc.Checker.register_sampler checker "p" (fun () -> true);
   Sctc.Checker.register_sampler checker "q" (fun () -> true);
-  Sctc.Checker.add_property_text ~syntax:Sctc.Checker.Auto checker ~name:"fltl"
+  Sctc.Checker.add_property_text ~syntax:`Auto checker ~name:"fltl"
     "G (p -> F q)";
-  Sctc.Checker.add_property_text ~syntax:Sctc.Checker.Auto checker ~name:"psl"
+  (* the default is `Auto, as for Prop.parse *)
+  Sctc.Checker.add_property_text checker ~name:"psl"
     "always (p -> eventually! q)";
   Sctc.Checker.step checker;
   check "both properties monitored" true
@@ -138,8 +155,8 @@ let () =
       ( "equivalence",
         [
           Alcotest.test_case "FLTL (incl. EEE specs)" `Quick
-            test_fltl_equivalence;
-          Alcotest.test_case "PSL" `Quick test_psl_equivalence;
+            (check_corpus [ "fltl"; "auto" ]);
+          Alcotest.test_case "PSL" `Quick (check_corpus [ "psl" ]);
         ] );
       ("auto", [ Alcotest.test_case "detection rule" `Quick test_auto_detection ]);
       ( "errors",

@@ -102,7 +102,7 @@ let test_checker_psl_syntax () =
   let checker = Checker.create ~name:"t" () in
   let ok = ref true in
   Checker.register_sampler checker "ok" (fun () -> !ok);
-  Checker.add_property_text ~syntax:Checker.Psl checker ~name:"inv"
+  Checker.add_property_text ~syntax:`Psl checker ~name:"inv"
     "always ok";
   Checker.step checker;
   check_verdict "pending" Verdict.Pending (Checker.verdict checker "inv");
