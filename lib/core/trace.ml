@@ -54,15 +54,21 @@ let attach bus sink =
 
 let set_time_source bus source = bus.time_source <- source
 
+(* A bus without sinks only counts: nobody reads the event record or its
+   time stamp, so neither is built. *)
 let emit bus kind =
   if bus.active then begin
     (match kind with
     | Trigger -> bus.triggers <- bus.triggers + 1
     | Sample _ -> bus.samples <- bus.samples + 1
     | _ -> ());
-    let event = { seq = bus.seq; time_unit = bus.time_source (); kind } in
-    bus.seq <- bus.seq + 1;
-    List.iter (fun sink -> sink.on_event event) bus.sinks
+    let seq = bus.seq in
+    bus.seq <- seq + 1;
+    match bus.sinks with
+    | [] -> ()
+    | sinks ->
+      let event = { seq; time_unit = bus.time_source (); kind } in
+      List.iter (fun sink -> sink.on_event event) sinks
   end
 
 let close bus = List.iter (fun sink -> sink.on_close ()) bus.sinks

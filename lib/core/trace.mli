@@ -4,13 +4,15 @@
     verdict changes, the ESW-monitor handshake, test-case boundaries,
     watchdogs and software crashes — is published as a typed event on a
     bus. Sinks subscribe to the bus; a campaign job's bus buffers its
-    events in memory ({!memory_sink}) and the campaign renders them as
-    JSONL. The {!null} bus is a shared disabled instance; emitting into
-    it costs one branch, so hot paths stay fast when tracing is off
-    (guard allocations with {!enabled}).
+    events in memory ({!memory_sink}) only when the campaign has a sink,
+    and the campaign renders them as JSONL. The {!null} bus is a shared
+    disabled instance; emitting into it costs one branch, so hot paths
+    stay fast when tracing is off (guard allocations with {!enabled}).
 
-    The bus also keeps cheap aggregate counters (triggers, samples,
-    triggers/second) that are maintained even when no sink is attached. *)
+    The bus also keeps cheap aggregate counters (events, triggers,
+    samples, triggers/second). A bus with no sink attached only keeps
+    those: {!emit} builds no {!event} and does not read the time
+    source. *)
 
 (** What happened. Time-unit stamping is added by the bus. *)
 type kind =
@@ -57,6 +59,9 @@ val set_time_source : t -> (unit -> int) -> unit
     installs its backend's cycle/statement counter; default constant 0). *)
 
 val emit : t -> kind -> unit
+(** Count the event (every kind advances {!events}). Only when a sink
+    is attached is the {!event} built, stamped with its [seq] and the
+    time source, and handed to every sink. *)
 
 val close : t -> unit
 (** Close every attached sink. *)
@@ -73,9 +78,10 @@ val triggers_per_sec : t -> float
 (** {2 Sinks} *)
 
 val memory_sink : unit -> sink * (unit -> event list)
-(** Buffering sink; the closure returns events oldest first. Every
-    campaign job traces into one of these; files are written by the
-    campaign's sinks ([Verif.Campaign.jsonl_file_sink]). *)
+(** Buffering sink; the closure returns events oldest first. A campaign
+    job traces into one of these only when the campaign has a sink to
+    read its events; files are written by the campaign's sinks
+    ([Verif.Campaign.jsonl_file_sink]). *)
 
 (** {2 Rendering and parsing} *)
 

@@ -94,24 +94,32 @@ let make_meters metrics =
     m_merge = Registry.stage_timer metrics Registry.Merge;
   }
 
-(* One job, on whatever domain runs it: a private bus buffering events in
-   memory, the job's exceptions confined to its outcome. *)
-let execute index job =
+(* One job, on whatever domain runs it: a private bus, the job's
+   exceptions confined to its outcome. The bus buffers its events in
+   memory only when [buffered] (the campaign has a sink to read them);
+   otherwise it only counts them. *)
+let execute ~buffered index job =
   let bus = Trace.create () in
-  let sink, buffered = Trace.memory_sink () in
-  Trace.attach bus sink;
+  let events =
+    if buffered then begin
+      let sink, events = Trace.memory_sink () in
+      Trace.attach bus sink;
+      events
+    end
+    else fun () -> []
+  in
   let result =
     match job.run bus with
     | result -> Ok result
     | exception exn -> Error (Printexc.to_string exn)
   in
   Trace.close bus;
-  { index; label = job.label; result; events = buffered () }
+  { index; label = job.label; result; events = events () }
 
-let metered_execute meters index job =
+let metered_execute meters ~buffered index job =
   if meters.metered then begin
     let started = Unix.gettimeofday () in
-    let outcome = execute index job in
+    let outcome = execute ~buffered index job in
     Registry.Timer.observe meters.m_job_seconds
       (Unix.gettimeofday () -. started);
     Registry.Counter.incr meters.m_jobs;
@@ -120,7 +128,7 @@ let metered_execute meters index job =
     | Ok _ -> ());
     outcome
   end
-  else execute index job
+  else execute ~buffered index job
 
 (* Workers claim contiguous chunks of job indices, not one index per lock
    acquisition: with J jobs and chunk size C the queue mutex is taken
@@ -330,10 +338,11 @@ let run_stream ?(metrics = Registry.null) ?(workers = 1) ?chunk ?window
     | None -> fun () -> false
     | Some token -> fun () -> cancelled token
   in
+  let buffered = match sinks with [] -> false | _ :: _ -> true in
   let queue =
     run_pool ~meters ~pool ~chunk ~count ~stop (fun index ->
         deposit reassembly meters sinks
-          (metered_execute meters index jobs.(index)))
+          (metered_execute meters ~buffered index jobs.(index)))
   in
   List.iter
     (fun sink ->
@@ -395,12 +404,14 @@ let run ?metrics ?workers ?chunk jobs =
 
 let sink ?(close = fun () -> ()) on_outcome = { on_outcome; on_close = close }
 
-let render_outcome buffer outcome =
+let render_events buffer events =
   List.iter
     (fun event ->
       Trace.event_to_json_into buffer event;
       Buffer.add_char buffer '\n')
-    outcome.events
+    events
+
+let render_outcome buffer outcome = render_events buffer outcome.events
 
 let jsonl_buffer_sink out =
   { on_outcome = render_outcome out; on_close = (fun () -> ()) }
@@ -491,11 +502,7 @@ let to_jsonl ?(metrics = Registry.null) summary =
     (Registry.stage_timer metrics Registry.Merge)
     (fun () ->
       let buffer = Buffer.create 4096 in
-      List.iter
-        (fun event ->
-          Buffer.add_string buffer (Trace.event_to_json event);
-          Buffer.add_char buffer '\n')
-        (events summary);
+      render_events buffer (events summary);
       Buffer.contents buffer)
 
 let verdicts summary =

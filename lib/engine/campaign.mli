@@ -17,11 +17,13 @@
     included, for callers that want the whole campaign in memory.
 
     Determinism contract: output is ordered by job index, never by
-    completion order, and every job gets a private in-memory trace bus
-    whose buffered events are concatenated in job order — so verdict
-    vectors, merged counters and JSONL trace output are byte-identical
-    for 1 worker and N workers, and a JSONL sink writes exactly the
-    bytes of {!to_jsonl} over the collected outcomes. Jobs must not
+    completion order, and every job gets a private trace bus. When the
+    campaign has a sink, the bus buffers the job's events in memory and
+    they are concatenated in job order; without one it only counts them
+    ([Result.trace_events] is the same either way). So verdict vectors,
+    merged counters and JSONL trace output are byte-identical for 1
+    worker and N workers, and a JSONL sink writes exactly the bytes of
+    {!to_jsonl} over the collected outcomes. Jobs must not
     share mutable state: a job builds its own session inside the engine
     and derives its stimulus from {!Stimuli.Prng.of_seed_index}, not
     from a shared generator. *)
@@ -148,9 +150,12 @@ val run_stream :
     it has already been emitted), so the campaign cannot deadlock, for
     any window, chunk and worker count.
 
-    The summary's [outcomes] keep label/result but drop the event
-    buffers ([events = []]); [stream] carries the {!stream_stats}.
-    Merged counters, {!verdicts} and {!errors} work unchanged.
+    Each job's bus buffers its events only when [sinks] is non-empty
+    (the default [[]] runs every job on a bus that only counts, so an
+    untraced campaign builds, copies and retains no trace). The
+    summary's [outcomes] keep label/result but drop the event buffers
+    ([events = []]); [stream] carries the {!stream_stats}. Merged
+    counters, {!verdicts} and {!errors} work unchanged.
 
     With a [cancel] token, {!cancel} stops the campaign at the next
     chunk boundary: the summary covers exactly the executed prefix

@@ -153,6 +153,58 @@ let test_campaign_trace_events () =
     (count (fun e ->
          match e.Trace.kind with Trace.Watchdog_fired _ -> true | _ -> false))
 
+(* A bus with no sinks only counts: the same EEE session run on a
+   sinkless bus and on a memory-sink bus must report the same counters
+   and the same result, and the sinkless bus must never read its clock. *)
+let eee_read_session trace =
+  let session =
+    Eee.Harness.approach2 ~fault_rate:0.01 ~seed:11 ~chunk_statements:50
+      ~trace ()
+  in
+  Eee.Driver.install_spec session [ Eee.Eee_spec.Read ];
+  let config =
+    { Eee.Driver.default_config with test_cases = 5; seed = 5;
+      watchdog_chunks = 400 }
+  in
+  Eee.Driver.run_campaign session config Eee.Eee_spec.Read
+
+(* every field but the wall-clock timings *)
+let result_fields (r : Result.t) =
+  ( r.Result.backend,
+    List.map
+      (fun (p : Result.property) ->
+        (p.Result.property, Verdict.to_string p.Result.verdict,
+         p.Result.first_final_at))
+      r.Result.properties,
+    (r.Result.triggers, r.Result.time_units, r.Result.test_cases,
+     r.Result.timeouts, r.Result.trace_events),
+    (Result.coverage_percent r, Result.missing_returns r) )
+
+let test_sinkless_bus_only_counts () =
+  let counted = Trace.create () in
+  let counted_result = eee_read_session counted in
+  let buffered = Trace.create () in
+  let sink, events = Trace.memory_sink () in
+  Trace.attach buffered sink;
+  let buffered_result = eee_read_session buffered in
+  Alcotest.(check bool) "the session published events" true
+    (Trace.events buffered > 0);
+  Alcotest.(check int) "events == buffered event count"
+    (List.length (events ())) (Trace.events buffered);
+  Alcotest.(check (list int)) "same events, triggers and samples"
+    [ Trace.events buffered; Trace.triggers buffered; Trace.samples buffered ]
+    [ Trace.events counted; Trace.triggers counted; Trace.samples counted ];
+  Alcotest.(check bool) "same result fields" true
+    (result_fields buffered_result = result_fields counted_result);
+  let reads = ref 0 in
+  let bus = Trace.create () in
+  Trace.set_time_source bus (fun () -> incr reads; 0);
+  Trace.emit bus Trace.Trigger;
+  Trace.emit bus (Trace.Sample { prop = "p"; value = true });
+  Alcotest.(check int) "the sinkless bus never reads its clock" 0 !reads;
+  Alcotest.(check (list int)) "but counts every event" [ 2; 1; 1 ]
+    [ Trace.events bus; Trace.triggers bus; Trace.samples bus ]
+
 let suite =
   [
     Alcotest.test_case "approaches agree" `Quick test_approaches_agree;
@@ -162,6 +214,8 @@ let suite =
       test_trace_events_and_roundtrip;
     Alcotest.test_case "campaign trace events" `Quick
       test_campaign_trace_events;
+    Alcotest.test_case "sinkless bus only counts" `Quick
+      test_sinkless_bus_only_counts;
   ]
 
 let () = Alcotest.run "engine" [ ("session", suite) ]

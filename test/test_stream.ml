@@ -4,7 +4,9 @@
    same verdict vectors, same per-job errors, same merged counters, and
    a JSONL sink must receive exactly the bytes of the oracle's to_jsonl
    — for any worker count, chunk size and reassembly window, including
-   windows far smaller than the job count. On top of identity, the
+   windows far smaller than the job count. Without a sink the same
+   campaign must give the same results (trace_events included) while
+   its job buses only count, and so promote almost nothing. On top of identity, the
    engine's own contracts are pinned here: strictly ordered emission with campaign-global seq,
    crash and sink-failure containment, a backpressure window that
    actually bounds parked outcomes (asserted against a stalled job),
@@ -130,6 +132,24 @@ let oracle jobs =
     stream = None;
   }
 
+(* every Result field but the wall-clock timings, per outcome *)
+let result_fields summary =
+  List.map
+    (fun (o : Campaign.outcome) ->
+      match o.Campaign.result with
+      | Error e -> Error e
+      | Ok r ->
+        Ok
+          ( r.Verif.Result.backend,
+            List.map
+              (fun (p : Verif.Result.property) ->
+                (p.property, Verdict.to_string p.verdict, p.first_final_at))
+              r.Verif.Result.properties,
+            [ r.triggers; r.time_units;
+              Option.value r.test_cases ~default:(-1); r.timeouts;
+              r.trace_events ] ))
+    summary.Campaign.outcomes
+
 let crashes variants = List.length (List.filter (fun v -> v mod variant_count = 4) variants)
 
 (* run the oracle and the engine on the same job list and check every
@@ -185,6 +205,25 @@ let check_identical ?(label = "") ~workers ?chunk ?window variants =
     (tag "campaign_job_errors_total")
     (crashes variants)
     (Registry.total metrics "campaign_job_errors_total");
+  (* without a sink the jobs' buses only count: the same results, event
+     counts included, and nothing to emit *)
+  let sinkless =
+    Campaign.run_stream ~workers ?chunk ?window (make_jobs variants)
+  in
+  Alcotest.(check bool)
+    (tag "sinkless: identical results, trace_events included")
+    true
+    (result_fields oracle = result_fields sinkless);
+  Alcotest.(check (list (triple string string string)))
+    (tag "sinkless: identical verdict vectors")
+    (verdict_strings oracle) (verdict_strings sinkless);
+  Alcotest.(check (list int))
+    (tag "sinkless: identical merged counters")
+    (counters oracle) (counters sinkless);
+  Alcotest.(check int)
+    (tag "sinkless: no events")
+    0
+    (List.length (Campaign.events sinkless));
   stream
 
 (* ---- fixed differential across the acceptance worker counts ------------ *)
@@ -220,6 +259,57 @@ let qcheck_differential =
                         (List.map string_of_int variants)))
            ~workers ~window variants);
       true)
+
+(* ---- retention: a sinkless campaign keeps no trace ----------------------- *)
+
+let chatty_events = 200_000
+
+(* a job publishing ~200k events and nothing else, so the promoted words
+   of a campaign over it are those its trace costs *)
+let chatty_job =
+  Campaign.job ~label:"chatty" (fun trace ->
+      for i = 1 to chatty_events do
+        Trace.emit trace
+          (if i land 1 = 0 then Trace.Trigger
+           else Trace.Sample { prop = "p"; value = i land 2 = 0 })
+      done;
+      {
+        Verif.Result.backend = "synthetic";
+        properties = [];
+        triggers = Trace.triggers trace;
+        time_units = 0;
+        vt_seconds = 0.0;
+        synthesis_seconds = 0.0;
+        test_cases = None;
+        timeouts = 0;
+        coverage = None;
+        trace_events = Trace.events trace;
+      })
+
+let promoted_during f =
+  Gc.full_major ();
+  let _, before, _ = Gc.counters () in
+  let summary = f () in
+  let _, after, _ = Gc.counters () in
+  (after -. before, summary)
+
+let test_sinkless_campaign_promotes_no_trace () =
+  let collected_promoted, collected =
+    promoted_during (fun () -> Campaign.run ~workers:1 [ chatty_job ])
+  in
+  let sinkless_promoted, sinkless =
+    promoted_during (fun () -> Campaign.run_stream ~workers:1 [ chatty_job ])
+  in
+  Alcotest.(check int) "the collecting run keeps every event" chatty_events
+    (List.length (Campaign.events collected));
+  Alcotest.(check bool) "identical results, trace_events included" true
+    (result_fields collected = result_fields sinkless);
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "sinkless promotes under 10%% of the collecting run (%.0f vs %.0f words)"
+       sinkless_promoted collected_promoted)
+    true
+    (sinkless_promoted < 0.1 *. collected_promoted)
 
 (* ---- emission order and campaign-global seq ----------------------------- *)
 
@@ -696,6 +786,11 @@ let () =
           Alcotest.test_case "window=1 changes scheduling only" `Quick
             test_tiny_window_identity;
           QCheck_alcotest.to_alcotest qcheck_differential;
+        ] );
+      ( "retention",
+        [
+          Alcotest.test_case "sinkless campaign promotes no trace" `Quick
+            test_sinkless_campaign_promotes_no_trace;
         ] );
       ( "ordering",
         [
