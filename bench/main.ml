@@ -178,11 +178,15 @@ let run_fig8 () =
 (* Parallel campaign: sequential vs pooled, recorded as a trajectory   *)
 
 (* stamp bench rows with the source revision, so BENCH_campaign.json
-   rows remain attributable as the trajectory grows *)
+   rows remain attributable as the trajectory grows; a row measured on an
+   uncommitted tree reads "<rev>-dirty" instead of crediting the parent *)
 let git_rev =
   lazy
     (try
-       let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+       let ic =
+         Unix.open_process_in
+           "git describe --always --dirty --abbrev=7 2>/dev/null"
+       in
        let line = try String.trim (input_line ic) with End_of_file -> "" in
        match Unix.close_process_in ic with
        | Unix.WEXITED 0 when line <> "" -> line
@@ -336,7 +340,7 @@ let campaign_round ~plan ~sequential ~cores jobs_n =
          here; the identity columns are the gate) ***\n"
         cores
   end;
-  let module Json = Sctc.Trace.Json in
+  let module Json = Obs.Json in
   append_campaign_record ~table:"campaign"
        [
          ("unix_time", Json.int (int_of_float (Unix.time ())));
@@ -724,7 +728,7 @@ let run_checker_bench () =
     "  on-the-fly table fill: %d hits, %d misses (steady-state hit rate %.4f)\n"
     hits misses hit_rate;
   Printf.printf "  per-step verdicts identical to reference: %b\n" !agree;
-  let module Json = Sctc.Trace.Json in
+  let module Json = Obs.Json in
   append_campaign_record ~table:"checker"
        [
          ("unix_time", Json.int (int_of_float (Unix.time ())));
@@ -864,7 +868,7 @@ let run_simulate_bench () =
      sim_vm %d statements via lib/obs)\n"
     verdicts_identical jsonl_identical interp_sim_statements vm_sim_statements;
   let cores = Domain.recommended_domain_count () in
-  let module Json = Sctc.Trace.Json in
+  let module Json = Obs.Json in
   append_campaign_record ~table:"simulate"
        [
          ("unix_time", Json.int (int_of_float (Unix.time ())));
@@ -974,7 +978,7 @@ let run_smc_scenario scenario =
     report.Smc.Runner.samples report.Smc.Runner.chernoff_n cancelled
     report.Smc.Runner.p_hat report.Smc.Runner.wall_seconds
     (if report.Smc.Runner.forced then "  (forced)" else "");
-  let module Json = Sctc.Trace.Json in
+  let module Json = Obs.Json in
   let theta, delta, alpha, beta, eps =
     match scenario.smc_spec with
     | Smc.Runner.Sequential { theta; delta; alpha; beta; _ } ->

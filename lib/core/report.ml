@@ -92,13 +92,13 @@ let jsonl rows =
   String.concat "\n"
     (List.map
        (fun row ->
-         Trace.Json.obj
+         Obs.Json.obj
            [
-             ("name", Trace.Json.string row.row_name);
+             ("name", Obs.Json.string row.row_name);
              ("vt_seconds", Printf.sprintf "%.6f" row.vt_seconds);
-             ("test_cases", Trace.Json.option Trace.Json.int row.test_cases);
+             ("test_cases", Obs.Json.option Obs.Json.int row.test_cases);
              ( "coverage_pct",
-               Trace.Json.option Trace.Json.float row.coverage_pct );
-             ("result", Trace.Json.string row.result);
+               Obs.Json.option Obs.Json.float row.coverage_pct );
+             ("result", Obs.Json.string row.result);
            ])
        rows)

@@ -97,23 +97,5 @@ val event_to_json_into : Buffer.t -> event -> unit
     emission, where every event of every job is rendered once. *)
 
 val event_of_json : string -> (event, string) result
-(** Inverse of {!event_to_json} (accepts any key order). *)
-
-(** {2 JSON helpers} (shared with {!Report}) *)
-
-module Json : sig
-  val escape : string -> string
-  (** Escape for inclusion inside a JSON string literal (no quotes). *)
-
-  val string : string -> string
-  (** Quoted JSON string. *)
-
-  val obj : (string * string) list -> string
-  (** Object from pre-rendered member values. *)
-
-  val int : int -> string
-  val bool : bool -> string
-  val float : float -> string
-  val null : string
-  val option : ('a -> string) -> 'a option -> string
-end
+(** Inverse of {!event_to_json}: a schema check over {!Obs.Json.parse}
+    (any key order; bytes after the object are an error). *)

@@ -5,10 +5,9 @@
     ["table"] tag existed carry none — {!parse_line} tolerates them and
     infers their table from distinctive fields ([legacy_tps] marks a
     checker row, [interp_sps] a simulate row, anything else a campaign
-    row) instead of rejecting the prefix of the trajectory. Numbers may
-    use the [%.6g] scientific notation the rows are written with
-    ([1.33827e+06]); the core trace parser is integer-only, hence this
-    dedicated flat parser. *)
+    row) instead of rejecting the prefix of the trajectory. Rows are
+    read with {!Obs.Json.parse}, the same reader as the trace and the
+    metrics snapshot; the row format is the schema on top of it. *)
 
 type value = Number of float | Bool of bool | String of string | Null
 
@@ -20,8 +19,9 @@ type row = {
 }
 
 val parse_line : string -> (row, string) result
-(** Parse one trajectory line (a flat JSON object — nested containers
-    are not part of the row format and are rejected). *)
+(** Parse one trajectory line: a JSON object whose values are scalars
+    (nested containers are not part of the row format and are rejected).
+    Every number, integer or not, becomes a {!Number}. *)
 
 val load : string -> (row list, string) result
 (** Every row of a trajectory file, blank lines skipped; the first
@@ -39,6 +39,6 @@ val str_field : row -> string -> string option
 (** {2 Writing} *)
 
 val render : table:string -> (string * string) list -> string
-(** One trajectory line from pre-rendered {!Sctc.Trace.Json} member
+(** One trajectory line from pre-rendered {!Obs.Json} member
     values, with the uniform [("table", table)] tag placed first.
     @raise Invalid_argument when [members] already contains ["table"]. *)

@@ -27,20 +27,6 @@ val write_jsonl : string -> Registry.t -> unit
 
 (** {2 Snapshot validation} *)
 
-module Json : sig
-  (** A minimal JSON reader, enough to parse what {!to_jsonl} emits. *)
-
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val parse : string -> (t, string) result
-end
-
 val validate_snapshot_line : string -> (unit, string) result
 (** Check one line against the JSONL snapshot schema above, including
     the cumulative-bucket and terminal [+Inf] invariants. *)

@@ -7,7 +7,7 @@
    trajectory is append-only and spans the repo's whole life. *)
 
 module Bench_log = Verif.Bench_log
-module Json = Sctc.Trace.Json
+module Json = Obs.Json
 
 (* ---- verbatim historical fixture lines --------------------------------- *)
 
@@ -130,7 +130,9 @@ let test_malformed_lines_rejected () =
   check_error "unterminated string" {|{"a":"oops|};
   check_error "bad number" {|{"a":1.2.3}|};
   check_error "missing colon" {|{"a" 1}|};
-  check_error "non-string table" {|{"table":3,"a":1}|}
+  check_error "non-string table" {|{"table":3,"a":1}|};
+  check_error "nested array" {|{"table":"campaign","a":[1]}|};
+  check_error "nested object" {|{"a":{}}|}
 
 let test_null_and_escapes () =
   let row = parse_ok {|{"table":"campaign","note":"a\"b\\c\nd","gap":null}|} in

@@ -163,7 +163,14 @@ let test_validator_accepts_own_output () =
   (match Export.validate_snapshot_file path with
   | Ok n -> check_int "file metric count" 3 n
   | Error msg -> Alcotest.failf "own file rejected: %s" msg);
-  Sys.remove path
+  Sys.remove path;
+  (* counts are checked as numbers: an integral float is a valid count *)
+  match
+    Export.validate_snapshot_line
+      {|{"metric":"m","type":"counter","labels":{},"value":3.0}|}
+  with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "counter written as 3.0 rejected: %s" msg
 
 let test_validator_rejects () =
   let rejected line =
