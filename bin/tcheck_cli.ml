@@ -168,10 +168,29 @@ let execute common metrics jobs =
     Printf.eprintf "--trace: %s\n" msg;
     exit 2
 
+(* words per simulated statement and per checker trigger, from the stage
+   allocation counters; on stderr, so the report itself does not change *)
+let report_words metrics =
+  let total = Obs.Registry.total metrics in
+  let statements =
+    total "sim_vm_statements_total" + total "sim_interp_statements_total"
+  and triggers = total "sctc_triggers_total" in
+  let per stage units =
+    let words = total (Obs.Registry.stage_words_name stage) in
+    float_of_int words /. float_of_int units
+  in
+  if statements > 0 && triggers > 0 then
+    Printf.eprintf
+      "metrics: %.1f minor words per statement simulated, %.1f per trigger \
+       checked\n"
+      (per Obs.Registry.Simulate statements)
+      (per Obs.Registry.Check triggers)
+
 let write_metrics common metrics =
   match common.metrics_file with
   | None -> ()
   | Some out -> (
+    report_words metrics;
     try Obs.Export.write_jsonl out metrics
     with Sys_error msg ->
       Printf.eprintf "--metrics: %s\n" msg;

@@ -225,7 +225,7 @@ let counters () =
 
 let local_counters () =
   let _, cell = Domain.DLS.get domain_key in
-  (cell.hits, cell.misses)
+  cell
 
 let props t = t.props
 let num_states t = t.count

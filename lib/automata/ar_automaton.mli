@@ -121,6 +121,9 @@ type counters = { hits : int; misses : int }
 val counters : unit -> counters
 (** Aggregated over all domains (takes the registry mutex). *)
 
-val local_counters : unit -> int * int
-(** [(hits, misses)] of the calling domain only — lock-free, cheap
-    enough for per-trigger deltas on the metered checker path. *)
+type cell = private { mutable hits : int; mutable misses : int }
+
+val local_counters : unit -> cell
+(** The calling domain's own live counters — lock-free; reading its
+    fields before and after a trigger gives the trigger's delta without
+    allocating, as the metered checker path does. *)

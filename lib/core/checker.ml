@@ -43,6 +43,7 @@ type meters = {
   m_triggers : Registry.Counter.t;
   m_transitions : Registry.Counter.t;
   m_step_latency : Registry.Timer.t; (* per-trigger checker latency *)
+  m_words : Registry.Counter.t; (* minor words the checks allocate *)
   m_synthesize : Registry.Timer.t;
   m_parse : Registry.Timer.t;
   m_prog_hits : Registry.Counter.t; (* automaton table fill *)
@@ -73,6 +74,7 @@ let make_meters metrics =
       Registry.counter metrics "sctc_verdict_transitions_total"
         ~help:"per-property verdict changes (incl. the first verdict)";
     m_step_latency = Registry.stage_timer metrics Registry.Check;
+    m_words = Registry.stage_words metrics Registry.Check;
     m_synthesize = Registry.stage_timer metrics Registry.Synthesize;
     m_parse = Registry.stage_timer metrics Registry.Parse;
     m_prog_hits =
@@ -266,17 +268,20 @@ let step_monitors checker =
   (* shared sample pass: every proposition in the pending properties'
      support is probed exactly once per trigger, in sorted name order *)
   let slots = Array.length plan.slot_props in
-  if tracing then
+  if Trace.has_sinks checker.trace then
     for i = 0 to slots - 1 do
       let value = Proposition.is_true plan.slot_props.(i) in
       plan.samples.(i) <- value;
       Trace.emit checker.trace
         (Trace.Sample { prop = plan.slot_names.(i); value })
     done
-  else
+  else begin
+    (* nobody reads a [Sample] record here: count them, build none *)
     for i = 0 to slots - 1 do
       plan.samples.(i) <- Proposition.is_true plan.slot_props.(i)
     done;
+    Trace.count_samples checker.trace slots
+  end;
   let samples = plan.samples in
   let active = plan.active in
   for k = 0 to Array.length active - 1 do
@@ -325,15 +330,19 @@ let step_monitors checker =
 let step checker =
   checker.step_count <- checker.step_count + 1;
   if checker.meters.metered then begin
-    let hits0, misses0 = Ar_automaton.local_counters () in
+    let meters = checker.meters in
+    let cell = Ar_automaton.local_counters () in
+    let hits = cell.hits and misses = cell.misses in
     let started = Unix.gettimeofday () in
+    let words = Gc.minor_words () in
     step_monitors checker;
-    Registry.Timer.observe checker.meters.m_step_latency
+    let words = Gc.minor_words () -. words in
+    Registry.Timer.observe meters.m_step_latency
       (Unix.gettimeofday () -. started);
-    let hits1, misses1 = Ar_automaton.local_counters () in
-    Registry.Counter.add checker.meters.m_prog_hits (hits1 - hits0);
-    Registry.Counter.add checker.meters.m_prog_misses (misses1 - misses0);
-    Registry.Counter.incr checker.meters.m_triggers
+    Registry.Counter.add meters.m_words (int_of_float words);
+    Registry.Counter.add meters.m_prog_hits (cell.hits - hits);
+    Registry.Counter.add meters.m_prog_misses (cell.misses - misses);
+    Registry.Counter.incr meters.m_triggers
   end
   else step_monitors checker
 

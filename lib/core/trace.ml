@@ -71,6 +71,16 @@ let emit bus kind =
       List.iter (fun sink -> sink.on_event event) sinks
   end
 
+let has_sinks bus = match bus.sinks with [] -> false | _ :: _ -> true
+
+(* what [emit] does for [n] samples on a bus no sink reads *)
+let count_samples bus n =
+  if has_sinks bus then invalid_arg "Trace.count_samples: the bus has sinks";
+  if bus.active then begin
+    bus.samples <- bus.samples + n;
+    bus.seq <- bus.seq + n
+  end
+
 let close bus = List.iter (fun sink -> sink.on_close ()) bus.sinks
 
 let events bus = bus.seq

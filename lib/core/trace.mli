@@ -63,6 +63,16 @@ val emit : t -> kind -> unit
     is attached is the {!event} built, stamped with its [seq] and the
     time source, and handed to every sink. *)
 
+val has_sinks : t -> bool
+(** Whether a sink is attached: only then does an emitted event reach
+    anyone. *)
+
+val count_samples : t -> int -> unit
+(** [count_samples bus n] advances the counters exactly as [n] emitted
+    [Sample]s would, without building them: the sampling hot path of a
+    bus that no sink reads. A no-op on {!null}.
+    @raise Invalid_argument when a sink is attached. *)
+
 val close : t -> unit
 (** Close every attached sink. *)
 

@@ -38,13 +38,15 @@ let install_spec ?(bound = None) ?(engine : Checker.engine = Sctc.Engine.default
       Checker.register_proposition checker called;
       (* "<op>_ret_<code>": a response for this op with that code is
          currently posted in the mailbox *)
+      let done_op = Session.var_reader session "eee_done_op"
+      and done_ret = Session.var_reader session "eee_done_ret" in
       List.iter
         (fun code ->
           let name = Eee_spec.return_prop op code in
           let sample () =
             Mailbox.response_ready mbox
-            && Session.read_var session "eee_done_op" = Eee_spec.op_code op
-            && Session.read_var session "eee_done_ret" = code
+            && done_op () = Eee_spec.op_code op
+            && done_ret () = code
           in
           Checker.register_proposition checker (Proposition.make name sample))
         (Eee_spec.expected_returns op);

@@ -65,6 +65,7 @@ type t = {
   runtime : runtime;
   chk : Checker.t;
   sim_timer : Registry.Timer.t; (* stage_simulate_seconds *)
+  sim_words : Registry.Counter.t; (* stage_simulate_minor_words_total *)
   throughput : Registry.Gauge.t; (* backend time units per wall second *)
   mutable timer_started : float;
   mutable units_at_timer : int;
@@ -130,6 +131,12 @@ let read_var session name =
   | Ref r -> Minic.Exec.read_global r.env name
   | Soc s -> Platform.Soc.read_var s.soc name
   | Model m -> Esw.Esw_model.read_member m.model name
+
+let var_reader session name =
+  match session.runtime with
+  | Ref r -> Minic.Exec.global_reader r.env name
+  | Soc s -> fun () -> Platform.Soc.read_var s.soc name
+  | Model m -> Minic.Exec.global_reader (Esw.Esw_model.exec m.model) name
 
 let unsupported_on_reference fn =
   invalid_arg
@@ -229,8 +236,18 @@ let run_reference session r =
     | exception Minic.Exec.Runtime_error (msg, _) -> r.crash <- Some msg
   end
 
+(* the simulate stage: timed, and its minor words counted, when metered *)
+let simulate session body =
+  if Registry.enabled session.config.metrics then begin
+    let words = Gc.minor_words () in
+    Registry.Timer.time session.sim_timer body;
+    Registry.Counter.add session.sim_words
+      (int_of_float (Gc.minor_words () -. words))
+  end
+  else body ()
+
 let advance session =
-  Registry.Timer.time session.sim_timer (fun () ->
+  simulate session (fun () ->
       match session.runtime with
       | Ref r -> run_reference session r
       | Soc s -> Platform.Soc.run ~max_cycles:session.config.chunk s.soc
@@ -249,7 +266,7 @@ let run ?bound session =
       | Some b -> b
       | None -> session.config.fuel)
   in
-  Registry.Timer.time session.sim_timer (fun () ->
+  simulate session (fun () ->
       match session.runtime with
       | Ref r -> run_reference session r
       | Soc s ->
@@ -465,6 +482,7 @@ let create ?compiled ?derived ?info config backend =
       runtime;
       chk;
       sim_timer = Registry.stage_timer config.metrics Registry.Simulate;
+      sim_words = Registry.stage_words config.metrics Registry.Simulate;
       throughput =
         Registry.gauge config.metrics "session_time_units_per_second"
           ~labels:[ ("backend", backend_label backend) ]

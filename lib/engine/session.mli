@@ -97,6 +97,11 @@ val trace : t -> Trace.t
 val read_var : t -> string -> int
 (** Observe a software global through the backend's memory interface. *)
 
+val var_reader : t -> string -> unit -> int
+(** [var_reader t name] is [fun () -> read_var t name], with the global
+    resolved once where the backend allows it: for propositions sampled
+    at every trigger. *)
+
 val in_function : t -> string -> Proposition.t
 (** Proposition "execution is inside this function" ([fname]-based).
     @raise Invalid_argument on the reference backend. *)

@@ -96,6 +96,12 @@ let read_global t name =
   | I env -> Interp.read_global env name
   | V vm -> Vm.read_global vm name
 
+(* the interpreter's environment is replaced by [reset]: read by name *)
+let global_reader t name =
+  match t.impl with
+  | I _ -> fun () -> read_global t name
+  | V vm -> Vm.global_reader vm name
+
 let write_global t name value =
   match t.impl with
   | I env -> Interp.write_global env name value

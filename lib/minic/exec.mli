@@ -87,6 +87,12 @@ val call : ?hooks:hooks -> t -> fuel:int ref -> string -> int list -> int option
 val read_global : t -> string -> int
 (** @raise Invalid_argument for unknown or array globals. *)
 
+val global_reader : t -> string -> unit -> int
+(** [global_reader t name] is [fun () -> read_global t name], with the
+    global resolved once on the VM backend, so that a proposition
+    sampled at every statement neither hashes the name nor allocates.
+    It stays valid across {!reset}. *)
+
 val write_global : t -> string -> int -> unit
 
 val read_element : t -> string -> int -> int

@@ -261,6 +261,13 @@ let read_global vm name =
       | Some v -> v
       | None -> invalid_arg ("Vm.read_global: unknown " ^ name))
 
+let global_reader vm name =
+  match Hashtbl.find_opt vm.prog.Bytecode.global_of_name name with
+  | Some slot ->
+    let globals = vm.globals in
+    fun () -> globals.(slot)
+  | None -> fun () -> read_global vm name
+
 let write_global vm name value =
   match Hashtbl.find_opt vm.prog.Bytecode.global_of_name name with
   | Some slot -> vm.globals.(slot) <- value

@@ -33,6 +33,11 @@ val call : t -> Interp.hooks -> fuel:int ref -> string -> int list -> int option
 val read_global : t -> string -> int
 (** @raise Invalid_argument for unknown or array globals. *)
 
+val global_reader : t -> string -> unit -> int
+(** [global_reader vm name] resolves [name]'s slot once; the reader then
+    costs one array load. {!reset} keeps the reader valid. Names that
+    {!read_global} would reject fail when read, as with it. *)
+
 val write_global : t -> string -> int -> unit
 
 val read_element : t -> string -> int -> int

@@ -86,7 +86,7 @@ end
 module Histogram = struct
   type cell = {
     counts : int array; (* one slot per bound + the +inf overflow slot *)
-    mutable h_sum : float;
+    h_sum : float array; (* one element: the sum, stored unboxed *)
     mutable h_count : int;
   }
 
@@ -106,24 +106,23 @@ module Histogram = struct
           make_cells (fun () ->
               {
                 counts = Array.make (Array.length bounds + 1) 0;
-                h_sum = 0.0;
+                h_sum = [| 0.0 |];
                 h_count = 0;
               });
       }
 
-  let bucket_index bounds v =
-    let n = Array.length bounds in
-    let rec go i = if i >= n || v <= bounds.(i) then i else go (i + 1) in
-    go 0
+  let rec bucket_index bounds v i =
+    if i >= Array.length bounds || v <= bounds.(i) then i
+    else bucket_index bounds v (i + 1)
 
   let observe histogram v =
     match histogram with
     | Noop -> ()
     | Active { bounds; cells } ->
       let cell = my_cell cells in
-      let slot = bucket_index bounds v in
+      let slot = bucket_index bounds v 0 in
       cell.counts.(slot) <- cell.counts.(slot) + 1;
-      cell.h_sum <- cell.h_sum +. v;
+      cell.h_sum.(0) <- cell.h_sum.(0) +. v;
       cell.h_count <- cell.h_count + 1
 
   let count = function
@@ -134,7 +133,7 @@ module Histogram = struct
   let sum = function
     | Noop -> 0.0
     | Active { cells; _ } ->
-      fold_cells cells (fun acc cell -> acc +. cell.h_sum) 0.0
+      fold_cells cells (fun acc cell -> acc +. cell.h_sum.(0)) 0.0
 
   let merged_counts { bounds; cells } =
     let merged = Array.make (Array.length bounds + 1) 0 in
@@ -300,13 +299,15 @@ let timer ?help ?labels registry name = histogram ?help ?labels registry name
 
 type stage = Parse | Typecheck | Synthesize | Simulate | Check | Merge
 
-let stage_name = function
-  | Parse -> "stage_parse_seconds"
-  | Typecheck -> "stage_typecheck_seconds"
-  | Synthesize -> "stage_synthesize_seconds"
-  | Simulate -> "stage_simulate_seconds"
-  | Check -> "stage_check_seconds"
-  | Merge -> "stage_merge_seconds"
+let stage_key = function
+  | Parse -> "parse"
+  | Typecheck -> "typecheck"
+  | Synthesize -> "synthesize"
+  | Simulate -> "simulate"
+  | Check -> "check"
+  | Merge -> "merge"
+
+let stage_name stage = "stage_" ^ stage_key stage ^ "_seconds"
 
 let stage_help = function
   | Parse -> "property/proposition parsing time"
@@ -318,6 +319,12 @@ let stage_help = function
 
 let stage_timer registry stage =
   timer ~help:(stage_help stage) registry (stage_name stage)
+
+let stage_words_name stage = "stage_" ^ stage_key stage ^ "_minor_words_total"
+
+let stage_words registry stage =
+  counter registry (stage_words_name stage)
+    ~help:("minor-heap words the " ^ stage_key stage ^ " stage allocated")
 
 (* --- snapshots ----------------------------------------------------------- *)
 

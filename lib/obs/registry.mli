@@ -112,6 +112,16 @@ val stage_name : stage -> string
 
 val stage_timer : t -> stage -> Timer.t
 
+val stage_words_name : stage -> string
+(** ["stage_<stage>_minor_words_total"], e.g.
+    ["stage_check_minor_words_total"]. *)
+
+val stage_words : t -> stage -> Counter.t
+(** The counter named {!stage_words_name}: the minor words the calling
+    domain allocated inside the stage ([Gc.minor_words] deltas), so that
+    words per statement or per trigger need no profiler. Like the
+    timers, [Simulate] contains [Check]. *)
+
 val default_time_buckets : float array
 (** Log-spaced seconds: 1us .. 10s. *)
 

@@ -3,7 +3,8 @@
     Used by the simulation kernel to order timed notifications. Elements with
     equal keys are popped in insertion order (stable), which the kernel relies
     on so that two notifications scheduled for the same timestamp wake
-    processes deterministically. *)
+    processes deterministically. Each entry also carries an integer tag;
+    keys, insertion numbers and tags are stored unboxed. *)
 
 type 'a t
 
@@ -11,19 +12,17 @@ val create : unit -> 'a t
 
 val is_empty : 'a t -> bool
 
-val length : 'a t -> int
+(** [push heap key tag value] inserts [value] with priority [key]. *)
+val push : 'a t -> int -> int -> 'a -> unit
 
-(** [push heap key value] inserts [value] with priority [key]. *)
-val push : 'a t -> int -> 'a -> unit
+(** The smallest key. @raise Not_found when empty. *)
+val min_key : 'a t -> int
 
-(** [min_key heap] is the smallest key, or [None] when empty. *)
-val min_key : 'a t -> int option
+(** The value and the tag of the entry {!pop} would remove.
+    @raise Not_found when empty. *)
+val top : 'a t -> 'a
+val top_tag : 'a t -> int
 
-(** [peek heap] is the entry with the smallest key without removing it. *)
-val peek : 'a t -> (int * 'a) option
-
-(** [pop heap] removes and returns the entry with the smallest key.
+(** [pop heap] removes the entry with the smallest key and returns its value.
     @raise Not_found when the heap is empty. *)
-val pop : 'a t -> int * 'a
-
-val clear : 'a t -> unit
+val pop : 'a t -> 'a

@@ -5,141 +5,175 @@
    continuation and parks it on the awaited events; notification moves the
    continuation back into the runnable queue.  The run loop alternates
    SystemC's phases: evaluate -> update -> delta notification -> timed
-   advance. *)
+   advance.
+
+   Approach 2 pays one wait per simulated statement, so a wait allocates
+   next to nothing (DESIGN.md). A process is its own waiter: its
+   generation [gen] grows at every wake-up, and a waiter, delta or timed
+   entry armed with an older generation is stale and dropped lazily.
+   Queues are growable arrays in insertion order. [wait_for 0] and
+   timeouts are entries of the process's own [<delta>] event; the entry's
+   generation names its wait, keeping the order of a fresh event per wait. *)
 
 type wake_reason = Woken_by of event | Timeout
+
+(* items with an int tag each, in insertion order *)
+and 'a queue = { mutable items : 'a array; mutable tags : int array; mutable len : int }
 
 and event = {
   ev_name : string;
   ev_kernel : t;
-  mutable waiters : waiter list;
-}
-
-(* A waiter may be armed on several events (wait_any) plus a timeout; the
-   [armed] flag guarantees a single wake-up. *)
-and waiter = {
-  w_process : process;
-  mutable armed : bool;
-  mutable reason : wake_reason option;
+  ev_reason : wake_reason; (* [Woken_by] this event, built once *)
+  ev_alone : event list; (* [[ev]], the request of [wait_event] *)
+  mutable ev_owner : process option; (* set on a process's [<delta>] *)
+  waiters : process queue; (* tag: the generation armed with *)
 }
 
 and pstate =
   | Not_started of (unit -> unit)
   | Suspended of (wake_reason, unit) Effect.Deep.continuation
-  | Running
-  | Finished
+  | Running | Finished
 
 and process = {
   p_name : string;
-  p_id : int;
   mutable p_state : pstate;
+  mutable gen : int;
+  mutable reason : wake_reason; (* of the last wake-up *)
+  p_delta : event;
 }
 
 and t = {
   mutable time : int;
   mutable deltas : int;
-  mutable next_pid : int;
-  runnable : (process * wake_reason) Queue.t;
-  mutable delta_pending : event list; (* delta notifications, reversed *)
-  timed : waiter_or_event Heap.t; (* timed notifications and timeouts *)
-  mutable updates : (unit -> unit) list;
+  runnable : process queue;
+  mutable run_head : int; (* next runnable entry to evaluate *)
+  (* delta and timed entries: a notification of the event (tag -1), or
+     the wait of its owner armed with generation [tag] *)
+  pending : event queue;
+  timed : event Heap.t;
+  updates : (unit -> unit) queue;
   mutable stop_requested : bool;
   mutable processes : process list;
+  mutable wait_on : event list; (* the request [Wait] parks ... *)
+  mutable wait_after : int; (* ... and its timeout, or -1 *)
 }
-
-and waiter_or_event = Timed_event of event | Timed_waiter of waiter
 
 exception Deadlock of string
 
+let queue () = { items = [||]; tags = [||]; len = 0 }
+
+let grow q item =
+  let capacity = max 8 (2 * q.len) in
+  let items = Array.make capacity item and tags = Array.make capacity 0 in
+  Array.blit q.items 0 items 0 q.len;
+  Array.blit q.tags 0 tags 0 q.len;
+  q.items <- items;
+  q.tags <- tags
+
+let push q item tag =
+  if q.len = Array.length q.items then grow q item;
+  q.items.(q.len) <- item;
+  q.tags.(q.len) <- tag;
+  q.len <- q.len + 1
+
 let create () =
-  {
-    time = 0;
-    deltas = 0;
-    next_pid = 0;
-    runnable = Queue.create ();
-    delta_pending = [];
-    timed = Heap.create ();
-    updates = [];
-    stop_requested = false;
-    processes = [];
-  }
+  { time = 0; deltas = 0; runnable = queue (); run_head = 0; pending = queue ();
+    timed = Heap.create (); updates = queue (); stop_requested = false;
+    processes = []; wait_on = []; wait_after = -1 }
 
 let now kernel = kernel.time
 let delta_count kernel = kernel.deltas
 
-let event kernel name = { ev_name = name; ev_kernel = kernel; waiters = [] }
+let event kernel name =
+  let rec ev =
+    { ev_name = name; ev_kernel = kernel; ev_reason = Woken_by ev;
+      ev_alone = [ ev ]; ev_owner = None; waiters = queue () }
+  in
+  ev
+
 let event_name ev = ev.ev_name
 
 let spawn kernel ~name body =
+  let p_delta = event kernel "<delta>" in
   let proc =
-    { p_name = name; p_id = kernel.next_pid; p_state = Not_started body }
+    { p_name = name; p_state = Not_started body; gen = 0; reason = Timeout; p_delta }
   in
-  kernel.next_pid <- kernel.next_pid + 1;
+  p_delta.ev_owner <- Some proc;
   kernel.processes <- proc :: kernel.processes;
-  Queue.add (proc, Timeout) kernel.runnable;
+  push kernel.runnable proc 0;
   proc
 
-let process_name proc = proc.p_name
-let is_finished proc = proc.p_state = Finished
-
-(* ------------------------------------------------------------------ *)
-(* Effects                                                             *)
-
-type wait_spec = { on_events : event list; after : int option; wk : t }
-
-type _ Effect.t += Wait : wait_spec -> wake_reason Effect.t
-
-let fire_waiter kernel waiter reason =
-  if waiter.armed then begin
-    waiter.armed <- false;
-    waiter.reason <- Some reason;
-    Queue.add (waiter.w_process, reason) kernel.runnable
+let fire kernel proc gen reason =
+  if proc.gen = gen then begin
+    proc.gen <- gen + 1;
+    proc.reason <- reason;
+    push kernel.runnable proc 0
   end
 
 let wake_event_waiters ev =
-  let kernel = ev.ev_kernel in
   let ws = ev.waiters in
-  ev.waiters <- [];
-  List.iter (fun w -> fire_waiter kernel w (Woken_by ev)) (List.rev ws)
+  let n = ws.len in
+  ws.len <- 0;
+  for i = 0 to n - 1 do
+    fire ev.ev_kernel ws.items.(i) ws.tags.(i) ev.ev_reason
+  done
+
+let fire_entry ev tag reason =
+  match ev.ev_owner with
+  | Some proc when tag >= 0 -> fire ev.ev_kernel proc tag reason
+  | _ -> wake_event_waiters ev
+
+let stale ev tag =
+  match ev.ev_owner with Some proc when tag >= 0 -> proc.gen <> tag | _ -> false
+
+(* A full waiter array first drops the entries a wake-up made stale, so an
+   event that is never notified does not keep one entry per wait. *)
+let add_waiter ev proc gen =
+  let ws = ev.waiters in
+  if ws.len = Array.length ws.items then begin
+    let live = ref 0 in
+    for i = 0 to ws.len - 1 do
+      if ws.items.(i).gen = ws.tags.(i) then begin
+        ws.items.(!live) <- ws.items.(i);
+        ws.tags.(!live) <- ws.tags.(i);
+        incr live
+      end
+    done;
+    ws.len <- !live;
+    if 2 * ws.len > Array.length ws.items then grow ws proc
+  end;
+  push ws proc gen
 
 let notify_immediate ev = wake_event_waiters ev
-
-let notify ev =
-  let kernel = ev.ev_kernel in
-  kernel.delta_pending <- ev :: kernel.delta_pending
+let notify ev = push ev.ev_kernel.pending ev (-1)
 
 let notify_in ev n =
   if n <= 0 then notify ev
-  else Heap.push ev.ev_kernel.timed (ev.ev_kernel.time + n) (Timed_event ev)
+  else Heap.push ev.ev_kernel.timed (ev.ev_kernel.time + n) (-1) ev
 
-let schedule_update kernel action = kernel.updates <- action :: kernel.updates
+let schedule_update kernel action = push kernel.updates action 0
 
 (* ------------------------------------------------------------------ *)
 (* Waiting primitives (called from inside process bodies)              *)
 
-let wait_any ?timeout events =
-  let kernel =
-    match events, timeout with
-    | ev :: _, _ -> ev.ev_kernel
-    | [], Some _ ->
-      invalid_arg "Kernel.wait_any: pure timeout needs wait_for"
-    | [], None -> invalid_arg "Kernel.wait_any: no event and no timeout"
-  in
-  Effect.perform (Wait { on_events = events; after = timeout; wk = kernel })
+type _ Effect.t += Wait : wake_reason Effect.t
 
-let wait_event ev =
-  match
-    Effect.perform
-      (Wait { on_events = [ ev ]; after = None; wk = ev.ev_kernel })
-  with
-  | Woken_by _ -> ()
-  | Timeout -> assert false
+let wait kernel events after =
+  kernel.wait_on <- events;
+  kernel.wait_after <- after;
+  Effect.perform Wait
+
+let wait_any ?timeout events =
+  match events, timeout with
+  | [], _ -> invalid_arg "Kernel.wait_any: no event (a pure timeout needs wait_for)"
+  | _, Some n when n < 0 -> invalid_arg "Kernel.wait_any: negative timeout"
+  | ev :: _, _ -> wait ev.ev_kernel events (Option.value timeout ~default:(-1))
+
+let wait_event ev = ignore (wait ev.ev_kernel ev.ev_alone (-1))
 
 let wait_for kernel n =
   if n < 0 then invalid_arg "Kernel.wait_for: negative delay";
-  ignore (Effect.perform (Wait { on_events = []; after = Some n; wk = kernel }))
-
-let wait_delta kernel = wait_for kernel 0
+  ignore (wait kernel [] n)
 
 let stop kernel = kernel.stop_requested <- true
 let stopped kernel = kernel.stop_requested
@@ -147,24 +181,25 @@ let stopped kernel = kernel.stop_requested
 (* ------------------------------------------------------------------ *)
 (* Scheduler                                                           *)
 
-let register_wait kernel proc spec cont =
-  proc.p_state <- Suspended cont;
-  let waiter = { w_process = proc; armed = true; reason = None } in
-  List.iter (fun ev -> ev.waiters <- waiter :: ev.waiters) spec.on_events;
-  match spec.after with
-  | None -> ()
-  | Some 0 ->
-    (* A zero timeout means "next delta cycle": model it as a delta
-       notification of a private event. *)
-    let ev = event kernel "<delta>" in
-    ev.waiters <- [ waiter ];
-    notify ev
-  | Some n -> Heap.push kernel.timed (kernel.time + n) (Timed_waiter waiter)
+let rec arm proc gen = function
+  | [] -> ()
+  | ev :: rest ->
+    add_waiter ev proc gen;
+    arm proc gen rest
 
-let run_process kernel proc reason =
+let park kernel proc cont =
+  proc.p_state <- Suspended cont;
+  arm proc proc.gen kernel.wait_on;
+  let after = kernel.wait_after in
+  if after = 0 then push kernel.pending proc.p_delta proc.gen
+  else if after > 0 then
+    Heap.push kernel.timed (kernel.time + after) proc.gen proc.p_delta
+
+let run_process kernel proc =
   match proc.p_state with
   | Not_started body ->
     proc.p_state <- Running;
+    let handler = Some (park kernel proc) (* once per process *) in
     Effect.Deep.match_with body ()
       {
         retc = (fun () -> proc.p_state <- Finished);
@@ -172,103 +207,78 @@ let run_process kernel proc reason =
         effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with
-            | Wait spec ->
-              Some
-                (fun (cont : (a, unit) Effect.Deep.continuation) ->
-                  register_wait kernel proc spec cont)
+            | Wait -> (handler : ((a, unit) Effect.Deep.continuation -> unit) option)
             | _ -> None);
       }
   | Suspended cont ->
     proc.p_state <- Running;
-    Effect.Deep.continue cont reason
+    Effect.Deep.continue cont proc.reason
   | Running -> invalid_arg "Kernel: process resumed while running"
   | Finished -> ()
 
-let pending_activity kernel =
-  (not (Queue.is_empty kernel.runnable))
-  || kernel.delta_pending <> []
-  || not (Heap.is_empty kernel.timed)
-  || kernel.updates <> []
-
-(* Timed entries for already-woken waiters are dropped lazily when popped. *)
-let fire_timed kernel entry =
-  match entry with
-  | Timed_event ev -> wake_event_waiters ev
-  | Timed_waiter w -> fire_waiter kernel w Timeout
+(* Delta cycles until nothing is left to do; true when a budget ran out.
+   Allocates nothing per cycle. *)
+let rec cycle kernel max_time max_deltas =
+  let runnable = kernel.runnable and updates = kernel.updates
+  and pending = kernel.pending and timed = kernel.timed in
+  (* Evaluation phase. *)
+  while kernel.run_head < runnable.len do
+    kernel.run_head <- kernel.run_head + 1;
+    run_process kernel runnable.items.(kernel.run_head - 1)
+  done;
+  kernel.run_head <- 0;
+  runnable.len <- 0;
+  (* Update phase; an action scheduled by an action waits for the next. *)
+  let n = updates.len in
+  for i = 0 to n - 1 do
+    updates.items.(i) ()
+  done;
+  if n > 0 then Array.blit updates.items n updates.items 0 (updates.len - n);
+  updates.len <- updates.len - n;
+  if kernel.stop_requested then false
+  else begin
+    (* Delta notification phase. *)
+    let n = pending.len in
+    pending.len <- 0;
+    for i = 0 to n - 1 do
+      fire_entry pending.items.(i) pending.tags.(i) pending.items.(i).ev_reason
+    done;
+    if runnable.len > 0 then begin
+      kernel.deltas <- kernel.deltas + 1;
+      kernel.deltas >= max_deltas || cycle kernel max_time max_deltas
+    end
+    else begin
+      (* Timed advance; stale timeouts go first, so they never advance
+         time. *)
+      while (not (Heap.is_empty timed)) && stale (Heap.top timed) (Heap.top_tag timed) do
+        ignore (Heap.pop timed)
+      done;
+      if Heap.is_empty timed then false
+      else if Heap.min_key timed > max_time then true
+      else begin
+        kernel.time <- Heap.min_key timed;
+        while (not (Heap.is_empty timed)) && Heap.min_key timed = kernel.time do
+          let tag = Heap.top_tag timed in
+          fire_entry (Heap.pop timed) tag Timeout
+        done;
+        cycle kernel max_time max_deltas
+      end
+    end
+  end
 
 let run ?(max_time = max_int) ?(max_deltas = max_int) ?(expect_activity = false)
     kernel =
   kernel.stop_requested <- false;
-  let budget_exhausted = ref false in
-  let rec cycle () =
-    (* Evaluation phase. *)
-    while not (Queue.is_empty kernel.runnable) do
-      let proc, reason = Queue.pop kernel.runnable in
-      run_process kernel proc reason
-    done;
-    (* Update phase. *)
-    let updates = List.rev kernel.updates in
-    kernel.updates <- [];
-    List.iter (fun action -> action ()) updates;
-    if kernel.stop_requested then ()
-    else begin
-      (* Delta notification phase. *)
-      let pending = List.rev kernel.delta_pending in
-      kernel.delta_pending <- [];
-      List.iter wake_event_waiters pending;
-      if not (Queue.is_empty kernel.runnable) then begin
-        kernel.deltas <- kernel.deltas + 1;
-        if kernel.deltas >= max_deltas then budget_exhausted := true
-        else cycle ()
-      end
-      else begin
-        (* Timed advance; first discard timeout entries whose waiter was
-           already woken by an event, so stale timeouts never advance time. *)
-        let rec purge () =
-          match Heap.peek kernel.timed with
-          | Some (_, Timed_waiter w) when not w.armed ->
-            ignore (Heap.pop kernel.timed);
-            purge ()
-          | Some _ | None -> ()
-        in
-        purge ();
-        match Heap.min_key kernel.timed with
-        | None -> ()
-        | Some t when t > max_time -> budget_exhausted := true
-        | Some t ->
-          kernel.time <- t;
-          let rec drain () =
-            match Heap.min_key kernel.timed with
-            | Some t' when t' = t ->
-              let _, entry = Heap.pop kernel.timed in
-              fire_timed kernel entry;
-              drain ()
-            | Some _ | None -> ()
-          in
-          drain ();
-          cycle ()
-      end
-    end
+  let budget_exhausted = cycle kernel max_time max_deltas in
+  let suspended = function
+    | { p_state = Suspended _ | Not_started _; p_name; _ } -> Some p_name
+    | _ -> None
   in
-  cycle ();
-  if
-    expect_activity && (not !budget_exhausted)
-    && (not kernel.stop_requested)
-    && List.exists
-         (fun p ->
-           match p.p_state with
-           | Suspended _ | Not_started _ -> true
-           | Running | Finished -> false)
-         kernel.processes
-  then
-    raise
-      (Deadlock
-         (Fmt.str "simulation ended at t=%d with suspended processes: %a"
-            kernel.time
-            Fmt.(list ~sep:comma string)
-            (List.filter_map
-               (fun p ->
-                 match p.p_state with
-                 | Suspended _ | Not_started _ -> Some p.p_name
-                 | Running | Finished -> None)
-               kernel.processes)))
+  if expect_activity && (not budget_exhausted) && not kernel.stop_requested then
+    match List.filter_map suspended kernel.processes with
+    | [] -> ()
+    | names ->
+      raise
+        (Deadlock
+           (Fmt.str "simulation ended at t=%d with suspended processes: %a"
+              kernel.time Fmt.(list ~sep:comma string) names))

@@ -43,10 +43,6 @@ val spawn : t -> name:string -> (unit -> unit) -> process
     at the beginning of the next {!run} evaluation phase. [body] may call the
     wait functions below; when [body] returns, the process terminates. *)
 
-val process_name : process -> string
-
-val is_finished : process -> bool
-
 (** {2 Waiting — must be called from inside a process body} *)
 
 val wait_event : event -> unit
@@ -54,13 +50,12 @@ val wait_event : event -> unit
 
 val wait_any : ?timeout:int -> event list -> wake_reason
 (** Suspend until one of the events fires, or until [timeout] time units
-    elapse (when given). An empty event list requires a timeout. *)
+    elapse (when given). A wait armed on several events wakes once, by the
+    first notified. The event list must not be empty, and [timeout] must
+    not be negative. *)
 
 val wait_for : t -> int -> unit
 (** Suspend for [n > 0] time units; [wait_for k 0] waits one delta cycle. *)
-
-val wait_delta : t -> unit
-(** Suspend until the next delta cycle. *)
 
 (** {2 Notification} *)
 
@@ -92,6 +87,3 @@ val run : ?max_time:int -> ?max_deltas:int -> ?expect_activity:bool -> t -> unit
     be called again afterwards to resume. *)
 
 val stopped : t -> bool
-
-val pending_activity : t -> bool
-(** True when runnable processes or pending notifications remain. *)

@@ -325,6 +325,43 @@ let test_trigger_handshake_arms_once () =
   Alcotest.(check bool) "pre-handshake edges consumed silently" true
     (triggers <= (200 / 10) - 3)
 
+(* --- allocation ------------------------------------------------------------ *)
+
+(* Minor words per [Checker.trigger] on a bus without sinks, with one
+   pending property over [slots] propositions; single domain, so the
+   [Gc.minor_words] delta is deterministic. *)
+let sinkless_trigger ?metrics slots =
+  let trace = Trace.create () in
+  let checker = Checker.create ~trace ?metrics ~name:"alloc" () in
+  let names = List.init slots (Printf.sprintf "p%d") in
+  List.iter
+    (fun name -> Checker.register_sampler checker name (fun () -> true))
+    names;
+  Checker.add_property_text checker ~name:"any"
+    ("G (" ^ String.concat " | " names ^ ")");
+  for _ = 1 to 100 do
+    Checker.trigger checker
+  done;
+  let triggers = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to triggers do
+    Checker.trigger checker
+  done;
+  ((Gc.minor_words () -. before) /. float_of_int triggers, trace)
+
+let test_sinkless_sampling_allocation () =
+  let one, _ = sinkless_trigger 1 in
+  let eight, trace = sinkless_trigger 8 in
+  (* the counters advance as if every sample had been emitted: per
+     trigger one Trigger and eight Samples, plus the first verdict *)
+  Alcotest.(check int) "samples counted" (10_100 * 8) (Trace.samples trace);
+  Alcotest.(check int) "events counted" ((10_100 * 9) + 1) (Trace.events trace);
+  if eight -. one > 0.5 then
+    Alcotest.failf
+      "%.1f minor words per trigger with 8 slots, %.1f with 1: no sink \
+       reads a sample, none should be built"
+      eight one
+
 let suite_checker =
   [
     Alcotest.test_case "basic run" `Quick test_checker_basic_run;
@@ -341,6 +378,8 @@ let suite_checker =
     Alcotest.test_case "reset" `Quick test_checker_reset;
     Alcotest.test_case "synthesis time accounted" `Quick
       test_synthesis_time_accounted;
+    Alcotest.test_case "sinkless sampling allocation" `Quick
+      test_sinkless_sampling_allocation;
   ]
 
 let suite_coverage =
