@@ -106,60 +106,152 @@ let kind_label = function
   | Watchdog_fired _ -> "watchdog_fired"
   | Software_crashed _ -> "software_crashed"
 
-(* The streaming campaign engine renders every event of every job through
-   this path, so it appends directly into the caller's buffer: no member
-   list, no intermediate strings, no [Obs.Json.obj] concatenation. The
-   bytes are exactly those of [Obs.Json.obj] over the same members —
-   [event_to_json] is defined in terms of this function, and the goldens
-   pin the format. *)
-let event_to_json_into buffer (event : event) =
-  let str key value =
-    Buffer.add_string buffer ",\"";
-    Buffer.add_string buffer key;
-    Buffer.add_string buffer "\":\"";
-    Buffer.add_string buffer (Obs.Json.escape value);
-    Buffer.add_char buffer '"'
-  and num key value =
-    Buffer.add_string buffer ",\"";
-    Buffer.add_string buffer key;
-    Buffer.add_string buffer "\":";
-    Buffer.add_string buffer (string_of_int value)
-  in
-  Buffer.add_string buffer "{\"seq\":";
-  Buffer.add_string buffer (string_of_int event.seq);
+(* top-level, not closures over [buffer]: those would be allocated for
+   every event *)
+let add_str buffer key value =
+  Buffer.add_string buffer ",\"";
+  Buffer.add_string buffer key;
+  Buffer.add_string buffer "\":\"";
+  Buffer.add_string buffer (Obs.Json.escape value);
+  Buffer.add_char buffer '"'
+
+let add_num buffer key value =
+  Buffer.add_string buffer ",\"";
+  Buffer.add_string buffer key;
+  Buffer.add_string buffer "\":";
+  Obs.Json.add_int buffer value
+
+(* Every line starts with {"seq":N; the tail is everything after N. The
+   campaign renders tails in its workers, where the global seq is not yet
+   known, and writes the seq in front of each under the reassembly lock.
+   The tail appends straight into the caller's buffer: no member list, no
+   intermediate strings. The bytes are exactly those of [Obs.Json.obj]
+   over the same members; the goldens pin the format. *)
+let tail_into buffer (event : event) =
   Buffer.add_string buffer ",\"tu\":";
-  Buffer.add_string buffer (string_of_int event.time_unit);
+  Obs.Json.add_int buffer event.time_unit;
   Buffer.add_string buffer ",\"event\":\"";
   Buffer.add_string buffer (kind_label event.kind);
   Buffer.add_char buffer '"';
   (match event.kind with
   | Trigger -> ()
   | Sample { prop; value } ->
-    str "prop" prop;
+    add_str buffer "prop" prop;
     Buffer.add_string buffer
       (if value then ",\"value\":true" else ",\"value\":false")
   | Verdict_change { property; verdict } ->
-    str "property" property;
-    str "verdict" (Verdict.to_string verdict)
-  | Handshake_armed { source } -> str "source" source
+    add_str buffer "property" property;
+    add_str buffer "verdict" (Verdict.to_string verdict)
+  | Handshake_armed { source } -> add_str buffer "source" source
   | Test_case_begin { index; op } ->
-    num "index" index;
-    str "op" op
+    add_num buffer "index" index;
+    add_str buffer "op" op
   | Test_case_end { index; result } -> (
-    num "index" index;
+    add_num buffer "index" index;
     match result with
-    | Some result -> str "result" result
+    | Some result -> add_str buffer "result" result
     | None -> Buffer.add_string buffer ",\"result\":null")
   | Watchdog_fired { index; op } ->
-    num "index" index;
-    str "op" op
-  | Software_crashed { reason } -> str "reason" reason);
+    add_num buffer "index" index;
+    add_str buffer "op" op
+  | Software_crashed { reason } -> add_str buffer "reason" reason);
   Buffer.add_char buffer '}'
+
+let seq_prefix = "{\"seq\":"
+
+let event_to_json_into buffer (event : event) =
+  Buffer.add_string buffer seq_prefix;
+  Obs.Json.add_int buffer event.seq;
+  tail_into buffer event
 
 let event_to_json (event : event) =
   let buffer = Buffer.create 64 in
   event_to_json_into buffer event;
   Buffer.contents buffer
+
+(* ------------------------------------------------------------------ *)
+(* Pre-rendered JSONL                                                  *)
+
+module Rendered = struct
+  (* Tails, each with its newline, packed into line-aligned chunks: a
+     chunk is sealed when the next line does not fit. Chunks start small
+     and double up to [max_chunk], so a short job holds little and a long
+     one allocates its trace in 64 KiB blocks, never one doubling buffer
+     copied at the end. [lengths] records every line's length, so writing
+     never scans for newlines. *)
+  let max_chunk = 65536
+  let first_chunk = 1024
+
+  type t = {
+    scratch : Buffer.t; (* the line being rendered *)
+    mutable sealed : (Bytes.t * int) list; (* full chunks, newest first *)
+    mutable chunk : Bytes.t;
+    mutable fill : int;
+    mutable lengths : int array;
+    mutable lines : int;
+  }
+
+  let create () =
+    {
+      scratch = Buffer.create 256;
+      sealed = [];
+      chunk = Bytes.create first_chunk;
+      fill = 0;
+      lengths = Array.make 256 0;
+      lines = 0;
+    }
+
+  let lines rendered = rendered.lines
+
+  let add rendered event =
+    let scratch = rendered.scratch in
+    Buffer.clear scratch;
+    tail_into scratch event;
+    Buffer.add_char scratch '\n';
+    let length = Buffer.length scratch in
+    if rendered.fill + length > Bytes.length rendered.chunk then begin
+      rendered.sealed <- (rendered.chunk, rendered.fill) :: rendered.sealed;
+      let size = min max_chunk (2 * Bytes.length rendered.chunk) in
+      rendered.chunk <- Bytes.create (max size length);
+      rendered.fill <- 0
+    end;
+    Buffer.blit scratch 0 rendered.chunk rendered.fill length;
+    rendered.fill <- rendered.fill + length;
+    if rendered.lines = Array.length rendered.lengths then begin
+      let grown = Array.make (2 * rendered.lines) 0 in
+      Array.blit rendered.lengths 0 grown 0 rendered.lines;
+      rendered.lengths <- grown
+    end;
+    rendered.lengths.(rendered.lines) <- length;
+    rendered.lines <- rendered.lines + 1
+
+  let sink rendered = { on_event = add rendered; on_close = (fun () -> ()) }
+
+  (* the lines of one chunk, the first being line [line] of the job; line
+     [i] gets seq [seq + i]. Returns the next line. *)
+  let write_chunk buffer lengths ~line ~seq (chunk, fill) =
+    let rec go line pos =
+      if pos >= fill then line
+      else begin
+        let length = lengths.(line) in
+        Buffer.add_string buffer seq_prefix;
+        Obs.Json.add_int buffer (seq + line);
+        Buffer.add_subbytes buffer chunk pos length;
+        go (line + 1) (pos + length)
+      end
+    in
+    go line 0
+
+  let add_to_buffer buffer rendered ~first_seq =
+    let chunks =
+      List.rev ((rendered.chunk, rendered.fill) :: rendered.sealed)
+    in
+    ignore
+      (List.fold_left
+         (fun line chunk ->
+           write_chunk buffer rendered.lengths ~line ~seq:first_seq chunk)
+         0 chunks)
+end
 
 (* ------------------------------------------------------------------ *)
 (* Parsing: a schema check over the shared JSON reader                 *)

@@ -3,11 +3,13 @@
     Everything the checker stack observes — triggers, proposition samples,
     verdict changes, the ESW-monitor handshake, test-case boundaries,
     watchdogs and software crashes — is published as a typed event on a
-    bus. Sinks subscribe to the bus; a campaign job's bus buffers its
-    events in memory ({!memory_sink}) only when the campaign has a sink,
-    and the campaign renders them as JSONL. The {!null} bus is a shared
-    disabled instance; emitting into it costs one branch, so hot paths
-    stay fast when tracing is off (guard allocations with {!enabled}).
+    bus. Sinks subscribe to the bus. A campaign job's bus gets only the
+    sinks whose product one of the campaign's sinks reads: the events in
+    memory ({!memory_sink}) and the JSONL lines ({!Rendered.sink}),
+    rendered on the worker as the events are emitted. The {!null} bus
+    is a shared disabled instance; emitting into it costs one branch, so
+    hot paths stay fast when tracing is off (guard allocations with
+    {!enabled}).
 
     The bus also keeps cheap aggregate counters (events, triggers,
     samples, triggers/second). A bus with no sink attached only keeps
@@ -89,9 +91,9 @@ val triggers_per_sec : t -> float
 
 val memory_sink : unit -> sink * (unit -> event list)
 (** Buffering sink; the closure returns events oldest first. A campaign
-    job traces into one of these only when the campaign has a sink to
-    read its events; files are written by the campaign's sinks
-    ([Verif.Campaign.jsonl_file_sink]). *)
+    job traces into one of these only when one of the campaign's sinks
+    reads events; files are written by the campaign's JSONL sinks
+    ([Verif.Campaign.jsonl_file_sink]) from {!Rendered} lines. *)
 
 (** {2 Rendering and parsing} *)
 
@@ -103,8 +105,32 @@ val event_to_json : event -> string
 
 val event_to_json_into : Buffer.t -> event -> unit
 (** Append exactly the bytes of {!event_to_json} to [buffer] without
-    intermediate allocations — the hot path of streaming campaign
-    emission, where every event of every job is rendered once. *)
+    intermediate allocations. *)
+
+(** A job's trace pre-rendered as JSONL: one line per event, each
+    stored as its tail — the bytes of {!event_to_json} after the seq's
+    digits, plus newline — so that the line's seq can be chosen when
+    the lines are written. A campaign worker renders the tails before
+    the campaign-global seq is known. *)
+module Rendered : sig
+  type t
+
+  val create : unit -> t
+
+  val sink : t -> sink
+  (** A bus sink that renders every event's tail as it is emitted. The
+      tails go into line-aligned chunks of at most 64 KiB (longer lines
+      get a chunk of their own), with each line's length recorded. *)
+
+  val lines : t -> int
+  (** Lines rendered so far: one per event the sink received. *)
+
+  val add_to_buffer : Buffer.t -> t -> first_seq:int -> unit
+  (** Append every line, the [i]th (from 0) numbered [first_seq + i]:
+      the bytes {!event_to_json_into} and a newline give for each event
+      with that seq. Per line this writes the seq prefix and digits and
+      blits the recorded tail; it allocates nothing per line. *)
+end
 
 val event_of_json : string -> (event, string) result
 (** Inverse of {!event_to_json}: a schema check over {!Obs.Json.parse}

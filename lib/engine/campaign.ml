@@ -7,6 +7,8 @@ type outcome = {
   label : string;
   result : (Result.t, string) result;
   events : Trace.event list;
+  jsonl : Trace.Rendered.t option;
+  first_seq : int;
 }
 
 type queue_stats = { chunk : int; acquisitions : int; contention : int }
@@ -28,7 +30,13 @@ type summary = {
   stream : stream_stats option;
 }
 
-type sink = { on_outcome : outcome -> unit; on_close : unit -> unit }
+type reads = Results | Events | Jsonl
+
+type sink = {
+  on_outcome : outcome -> unit;
+  on_close : unit -> unit;
+  reads : reads;
+}
 
 let job ~label run = { label; run }
 
@@ -94,19 +102,32 @@ let make_meters metrics =
     m_merge = Registry.stage_timer metrics Registry.Merge;
   }
 
+(* What the jobs' buses keep, decided once from what the sinks read: the
+   event list only for a sink that reads events, the rendered lines for
+   any sink that reads more than results. With neither, the bus only
+   counts. *)
+type keep = { keep_events : bool; keep_jsonl : bool }
+
 (* One job, on whatever domain runs it: a private bus, the job's
-   exceptions confined to its outcome. The bus buffers its events in
-   memory only when [buffered] (the campaign has a sink to read them);
-   otherwise it only counts them. *)
-let execute ~buffered index job =
+   exceptions confined to its outcome. Rendering happens here, on the
+   worker, as the events are emitted. *)
+let execute keep index job =
   let bus = Trace.create () in
   let events =
-    if buffered then begin
+    if keep.keep_events then begin
       let sink, events = Trace.memory_sink () in
       Trace.attach bus sink;
       events
     end
     else fun () -> []
+  in
+  let jsonl =
+    if keep.keep_jsonl then begin
+      let rendered = Trace.Rendered.create () in
+      Trace.attach bus (Trace.Rendered.sink rendered);
+      Some rendered
+    end
+    else None
   in
   let result =
     match job.run bus with
@@ -114,12 +135,12 @@ let execute ~buffered index job =
     | exception exn -> Error (Printexc.to_string exn)
   in
   Trace.close bus;
-  { index; label = job.label; result; events = events () }
+  { index; label = job.label; result; events = events (); jsonl; first_seq = 0 }
 
-let metered_execute meters ~buffered index job =
+let metered_execute meters keep index job =
   if meters.metered then begin
     let started = Unix.gettimeofday () in
-    let outcome = execute ~buffered index job in
+    let outcome = execute keep index job in
     Registry.Timer.observe meters.m_job_seconds
       (Unix.gettimeofday () -. started);
     Registry.Counter.incr meters.m_jobs;
@@ -128,7 +149,7 @@ let metered_execute meters ~buffered index job =
     | Ok _ -> ());
     outcome
   end
-  else execute ~buffered index job
+  else execute keep index job
 
 (* Workers claim contiguous chunks of job indices, not one index per lock
    acquisition: with J jobs and chunk size C the queue mutex is taken
@@ -225,32 +246,42 @@ type reassembly = {
   mutable r_waits : int;
   mutable r_wait_seconds : float;
   mutable r_sink_error : string option;
-  r_slots : outcome option array; (* emitted outcomes, events dropped *)
+  r_slots : outcome option array; (* emitted outcomes, traces dropped *)
 }
 
-let renumber reassembly events =
-  List.map
-    (fun (event : Trace.event) ->
-      let seq = reassembly.r_seq in
-      reassembly.r_seq <- seq + 1;
-      { event with Trace.seq })
+let renumber first_seq events =
+  List.mapi
+    (fun i (event : Trace.event) -> { event with Trace.seq = first_seq + i })
     events
 
 (* Emission runs under the reassembly lock: sinks are called serially,
-   in ascending job order, with events renumbered to the campaign-global
-   sequence — the bytes a JSONL sink writes are exactly those of
-   [to_jsonl] over the collected outcomes. A raising sink is disabled
+   in ascending job order. The outcome gets its campaign-global first
+   seq, and [r_seq] advances by its line count; the lines were rendered
+   on the worker, so a JSONL sink only writes each seq and blits its
+   tail. Events are renumbered only when a sink reads them (otherwise
+   the list is empty). The bytes a JSONL sink writes are exactly those
+   of [to_jsonl] over the collected outcomes. A raising sink is disabled
    for the rest of the run (the error resurfaces after the pool joins);
    the frontier keeps advancing so no worker is left waiting. *)
 let emit_locked reassembly meters sinks outcome =
   let started =
     if meters.metered then Unix.gettimeofday () else 0.0
   in
-  let outcome = { outcome with events = renumber reassembly outcome.events } in
+  let first_seq = reassembly.r_seq in
+  let lines =
+    match outcome.jsonl with
+    | Some rendered -> Trace.Rendered.lines rendered
+    | None -> List.length outcome.events
+  in
+  reassembly.r_seq <- first_seq + lines;
+  let outcome =
+    { outcome with events = renumber first_seq outcome.events; first_seq }
+  in
   (if reassembly.r_sink_error = None then
      try List.iter (fun sink -> sink.on_outcome outcome) sinks
      with exn -> reassembly.r_sink_error <- Some (Printexc.to_string exn));
-  reassembly.r_slots.(outcome.index) <- Some { outcome with events = [] };
+  reassembly.r_slots.(outcome.index) <-
+    Some { outcome with events = []; jsonl = None };
   reassembly.r_emitted <- reassembly.r_emitted + 1;
   reassembly.r_next <- outcome.index + 1;
   if meters.metered then begin
@@ -304,8 +335,10 @@ let deposit reassembly meters sinks outcome =
 
 let default_window ~pool = max 4 (2 * pool)
 
-let run_stream ?(metrics = Registry.null) ?(workers = 1) ?chunk ?window
-    ?cancel ?(sinks = []) jobs =
+let reads kind sinks = List.exists (fun sink -> sink.reads = kind) sinks
+
+let stream ~keep ?(metrics = Registry.null) ?(workers = 1) ?chunk ?window
+    ?cancel ~sinks jobs =
   let meters = make_meters metrics in
   let started = Unix.gettimeofday () in
   let jobs = Array.of_list jobs in
@@ -338,11 +371,10 @@ let run_stream ?(metrics = Registry.null) ?(workers = 1) ?chunk ?window
     | None -> fun () -> false
     | Some token -> fun () -> cancelled token
   in
-  let buffered = match sinks with [] -> false | _ :: _ -> true in
   let queue =
     run_pool ~meters ~pool ~chunk ~count ~stop (fun index ->
         deposit reassembly meters sinks
-          (metered_execute meters ~buffered index jobs.(index)))
+          (metered_execute meters keep index jobs.(index)))
   in
   List.iter
     (fun sink ->
@@ -382,19 +414,32 @@ let run_stream ?(metrics = Registry.null) ?(workers = 1) ?chunk ?window
         };
   }
 
+let run_stream ?metrics ?workers ?chunk ?window ?cancel ?(sinks = []) jobs =
+  let keep =
+    {
+      keep_events = reads Events sinks;
+      keep_jsonl = reads Events sinks || reads Jsonl sinks;
+    }
+  in
+  stream ~keep ?metrics ?workers ?chunk ?window ?cancel ~sinks jobs
+
 (* The collecting run: one sink keeps every outcome, events included, in
-   emission order. Everything is retained anyway, so the window spans the
-   whole campaign and no deposit ever waits. *)
+   emission order; {!to_jsonl} renders them when asked, so the workers
+   render nothing. Everything is retained anyway, so the window spans
+   the whole campaign and no deposit ever waits. *)
 let run ?metrics ?workers ?chunk jobs =
   let collected = ref [] in
   let collect =
     {
       on_outcome = (fun outcome -> collected := outcome :: !collected);
       on_close = (fun () -> ());
+      reads = Events;
     }
   in
   let summary =
-    run_stream ?metrics ?workers ?chunk
+    stream
+      ~keep:{ keep_events = true; keep_jsonl = false }
+      ?metrics ?workers ?chunk
       ~window:(max 1 (List.length jobs))
       ~sinks:[ collect ] jobs
   in
@@ -402,7 +447,8 @@ let run ?metrics ?workers ?chunk jobs =
 
 (* --- streaming sinks ----------------------------------------------------- *)
 
-let sink ?(close = fun () -> ()) on_outcome = { on_outcome; on_close = close }
+let sink ?(reads = Events) ?(close = fun () -> ()) on_outcome =
+  { on_outcome; on_close = close; reads }
 
 let render_events buffer events =
   List.iter
@@ -411,10 +457,17 @@ let render_events buffer events =
       Buffer.add_char buffer '\n')
     events
 
-let render_outcome buffer outcome = render_events buffer outcome.events
+(* the lines the worker rendered when the campaign kept them; an
+   outcome built elsewhere (a collected or hand-made one) is rendered
+   from its events *)
+let render_outcome buffer outcome =
+  match outcome.jsonl with
+  | Some rendered ->
+    Trace.Rendered.add_to_buffer buffer rendered ~first_seq:outcome.first_seq
+  | None -> render_events buffer outcome.events
 
 let jsonl_buffer_sink out =
-  { on_outcome = render_outcome out; on_close = (fun () -> ()) }
+  { on_outcome = render_outcome out; on_close = (fun () -> ()); reads = Jsonl }
 
 let jsonl_channel_sink channel =
   let buffer = Buffer.create 65536 in
@@ -425,6 +478,7 @@ let jsonl_channel_sink channel =
         render_outcome buffer outcome;
         Buffer.output_buffer channel buffer);
     on_close = (fun () -> flush channel);
+    reads = Jsonl;
   }
 
 let jsonl_file_sink path =
@@ -474,6 +528,7 @@ let sharded_jsonl_sink ?(metrics = Registry.null) ~shards ~jobs path =
         Buffer.output_buffer channels.(shard) buffer;
         Registry.Counter.incr flushes.(shard));
     on_close = (fun () -> Array.iter close_out channels);
+    reads = Jsonl;
   }
 
 (* --- deterministic merge, always in job order --------------------------- *)

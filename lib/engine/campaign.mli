@@ -17,16 +17,18 @@
     included, for callers that want the whole campaign in memory.
 
     Determinism contract: output is ordered by job index, never by
-    completion order, and every job gets a private trace bus. When the
-    campaign has a sink, the bus buffers the job's events in memory and
-    they are concatenated in job order; without one it only counts them
-    ([Result.trace_events] is the same either way). So verdict vectors,
-    merged counters and JSONL trace output are byte-identical for 1
-    worker and N workers, and a JSONL sink writes exactly the bytes of
-    {!to_jsonl} over the collected outcomes. Jobs must not
-    share mutable state: a job builds its own session inside the engine
-    and derives its stimulus from {!Stimuli.Prng.of_seed_index}, not
-    from a shared generator. *)
+    completion order, and every job gets a private trace bus. What the
+    bus keeps follows what the sinks read (see {!reads}): the job's
+    event list only when some sink reads events, its trace rendered as
+    JSONL lines only when some sink reads more than results, and
+    otherwise nothing — it only counts ([Result.trace_events] is the
+    same either way). Events and lines are numbered in job order with
+    a campaign-global [seq]. So verdict vectors, merged counters and
+    JSONL trace output are byte-identical for 1 worker and N workers,
+    and a JSONL sink writes exactly the bytes of {!to_jsonl} over the
+    collected outcomes. Jobs must not share mutable state: a job builds
+    its own session inside the engine and derives its stimulus from
+    {!Stimuli.Prng.of_seed_index}, not from a shared generator. *)
 
 type job = {
   label : string;  (** shown in reports and error messages *)
@@ -43,9 +45,17 @@ type outcome = {
           is confined to its job and never poisons the pool *)
   events : Trace.event list;
       (** the job's trace, with campaign-global [seq] as delivered to
-          the sinks (and so in {!run} summaries); always [[]] in
-          {!run_stream} summaries (events are handed to the sinks, not
-          retained) *)
+          the sinks (and so in {!run} summaries); [[]] unless a sink
+          reads [Events], and always [[]] in {!run_stream} summaries
+          (events are handed to the sinks, not retained) *)
+  jsonl : Trace.Rendered.t option;
+      (** the job's trace as JSONL lines, rendered on the worker while
+          the job ran; [Some _] exactly when a sink of the {!run_stream}
+          reads more than results, [None] in summaries *)
+  first_seq : int;
+      (** the campaign-global [seq] of the job's first event, as
+          delivered to the sinks; the JSONL sinks number [jsonl]'s
+          lines from it *)
 }
 
 type queue_stats = {
@@ -78,16 +88,32 @@ type summary = {
           summaries built by hand *)
 }
 
+(** What a sink reads of an outcome; it decides what every job's bus
+    keeps, so a campaign pays only for the trace someone reads. *)
+type reads =
+  | Results
+      (** [index], [label] and [result] only: with no other sink, the
+          buses only count *)
+  | Events
+      (** also [events]; the lines are rendered too, so a JSONL sink
+          called from inside this sink keeps the fast path *)
+  | Jsonl  (** also [jsonl] and [first_seq] (the JSONL sinks) *)
+
 (** A streaming consumer of campaign outcomes. [on_outcome] is called
     once per job, strictly in ascending job index order, with the
-    outcome's events already renumbered to the campaign-global [seq] —
-    serially, under the reassembly lock, from whichever domain deposited
-    the frontier outcome (sinks need not be thread-safe, but must not
-    call back into the campaign). [on_close] is called once, after the
-    pool joins. A sink that raises is disabled for the rest of the run
-    and the exception resurfaces as a [Failure] after the campaign
-    completes — the pool itself is never poisoned. *)
-type sink = { on_outcome : outcome -> unit; on_close : unit -> unit }
+    outcome's events already renumbered to the campaign-global [seq]
+    and its [first_seq] set — serially, under the reassembly lock, from
+    whichever domain deposited the frontier outcome (sinks need not be
+    thread-safe, but must not call back into the campaign). [on_close]
+    is called once, after the pool joins. A sink that raises is
+    disabled for the rest of the run and the exception resurfaces as a
+    [Failure] after the campaign completes — the pool itself is never
+    poisoned. *)
+type sink = {
+  on_outcome : outcome -> unit;
+  on_close : unit -> unit;
+  reads : reads;
+}
 
 val job : label:string -> (Trace.t -> Result.t) -> job
 
@@ -150,12 +176,15 @@ val run_stream :
     it has already been emitted), so the campaign cannot deadlock, for
     any window, chunk and worker count.
 
-    Each job's bus buffers its events only when [sinks] is non-empty
-    (the default [[]] runs every job on a bus that only counts, so an
-    untraced campaign builds, copies and retains no trace). The
-    summary's [outcomes] keep label/result but drop the event buffers
-    ([events = []]); [stream] carries the {!stream_stats}. Merged
-    counters, {!verdicts} and {!errors} work unchanged.
+    Each job's bus keeps what the [sinks] read (see {!reads}): the
+    default [[]], like a list of [Results] sinks, runs every job on a
+    bus that only counts, so an untraced campaign builds, copies and
+    retains no trace. JSONL lines are rendered on the worker that runs
+    the job; under the reassembly lock, emission only numbers them and
+    copies them out. The summary's [outcomes] keep label/result but
+    drop the traces ([events = []], [jsonl = None]); [stream] carries
+    the {!stream_stats}. Merged counters, {!verdicts} and {!errors}
+    work unchanged.
 
     With a [cancel] token, {!cancel} stops the campaign at the next
     chunk boundary: the summary covers exactly the executed prefix
@@ -181,17 +210,22 @@ val run_stream :
 
 (** {2 Streaming sinks} *)
 
-val sink : ?close:(unit -> unit) -> (outcome -> unit) -> sink
-(** [sink f] calls [f] per outcome; [close] defaults to a no-op. *)
+val sink : ?reads:reads -> ?close:(unit -> unit) -> (outcome -> unit) -> sink
+(** [sink f] calls [f] per outcome; [reads] defaults to [Events] and
+    [close] to a no-op. *)
+
+(** The JSONL sinks read [Jsonl]. Given an outcome without rendered
+    lines ([jsonl = None], e.g. one collected by {!run}), they render
+    its [events] instead, with the same bytes. *)
 
 val jsonl_buffer_sink : Buffer.t -> sink
-(** Append every outcome's events as JSONL into a buffer. The buffer's
+(** Append every outcome's trace as JSONL into a buffer. The buffer's
     final contents equal {!to_jsonl} of the {!run} summary byte for
     byte. *)
 
 val jsonl_channel_sink : out_channel -> sink
-(** Write every outcome's events as JSONL to a channel; each outcome is
-    rendered into a reused buffer and written in one output call.
+(** Write every outcome's trace as JSONL to a channel; each outcome is
+    copied into a reused buffer and written in one output call.
     [on_close] flushes but does not close the channel. *)
 
 val jsonl_file_sink : string -> sink

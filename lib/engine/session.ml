@@ -72,44 +72,57 @@ type t = {
   mutable crash_reported : bool;
 }
 
-(* tiny pure-expression evaluator for textual proposition definitions *)
-let rec eval_pure lookup (e : Minic.Ast.expr) =
+(* Textual proposition definitions compile once into closures over
+   pre-resolved global readers, so that sampling one at every trigger
+   neither hashes a name nor allocates. Operands are evaluated left to
+   right, and everything that can fail (an unknown or array global, a
+   division by zero, an impure expression) fails when sampled. *)
+let rec compile_pure reader (e : Minic.Ast.expr) : unit -> int =
   let module A = Minic.Ast in
   let module V = Minic.Value in
+  let unary f a =
+    let a = compile_pure reader a in
+    fun () -> f (a ())
+  in
   match e.A.edesc with
-  | A.Int_lit v -> v
-  | A.Bool_lit b -> V.of_bool b
-  | A.Var x -> lookup x
-  | A.Unop (A.Neg, a) -> V.neg (eval_pure lookup a)
-  | A.Unop (A.Bitnot, a) -> V.lognot (eval_pure lookup a)
-  | A.Unop (A.Lognot, a) -> V.of_bool (not (V.to_bool (eval_pure lookup a)))
+  | A.Int_lit v -> fun () -> v
+  | A.Bool_lit b ->
+    let v = V.of_bool b in
+    fun () -> v
+  | A.Var x -> reader x
+  | A.Unop (A.Neg, a) -> unary V.neg a
+  | A.Unop (A.Bitnot, a) -> unary V.lognot a
+  | A.Unop (A.Lognot, a) -> unary (fun v -> V.of_bool (not (V.to_bool v))) a
   | A.Binop (op, a, b) -> (
-    let va = eval_pure lookup a in
+    let a = compile_pure reader a and b = compile_pure reader b in
+    let strict f () =
+      let va = a () in
+      f va (b ())
+    and test f () =
+      let va = a () in
+      V.of_bool (f (va : int) (b ()))
+    in
     match op with
-    | A.Land -> V.of_bool (V.to_bool va && V.to_bool (eval_pure lookup b))
-    | A.Lor -> V.of_bool (V.to_bool va || V.to_bool (eval_pure lookup b))
-    | _ -> (
-      let vb = eval_pure lookup b in
-      match op with
-      | A.Add -> V.add va vb
-      | A.Sub -> V.sub va vb
-      | A.Mul -> V.mul va vb
-      | A.Div -> V.div va vb
-      | A.Mod -> V.rem va vb
-      | A.Band -> V.logand va vb
-      | A.Bor -> V.logor va vb
-      | A.Bxor -> V.logxor va vb
-      | A.Shl -> V.shift_left va vb
-      | A.Shr -> V.shift_right va vb
-      | A.Lt -> V.of_bool (va < vb)
-      | A.Le -> V.of_bool (va <= vb)
-      | A.Gt -> V.of_bool (va > vb)
-      | A.Ge -> V.of_bool (va >= vb)
-      | A.Eq -> V.of_bool (va = vb)
-      | A.Ne -> V.of_bool (va <> vb)
-      | A.Land | A.Lor -> assert false))
+    | A.Land -> fun () -> V.of_bool (V.to_bool (a ()) && V.to_bool (b ()))
+    | A.Lor -> fun () -> V.of_bool (V.to_bool (a ()) || V.to_bool (b ()))
+    | A.Add -> strict V.add
+    | A.Sub -> strict V.sub
+    | A.Mul -> strict V.mul
+    | A.Div -> strict V.div
+    | A.Mod -> strict V.rem
+    | A.Band -> strict V.logand
+    | A.Bor -> strict V.logor
+    | A.Bxor -> strict V.logxor
+    | A.Shl -> strict V.shift_left
+    | A.Shr -> strict V.shift_right
+    | A.Lt -> test ( < )
+    | A.Le -> test ( <= )
+    | A.Gt -> test ( > )
+    | A.Ge -> test ( >= )
+    | A.Eq -> test ( = )
+    | A.Ne -> test ( <> ))
   | A.Index _ | A.Call _ | A.Nondet _ | A.Mem_read _ ->
-    failwith "propositions must be pure expressions over globals"
+    fun () -> failwith "propositions must be pure expressions over globals"
 
 let backend_kind session =
   match session.runtime with
@@ -504,12 +517,13 @@ let create ?compiled ?derived ?info config backend =
   Checker.set_time_source chk time_source;
   if Trace.enabled config.trace then
     Trace.set_time_source config.trace time_source;
-  let lookup = read_var session in
   List.iter
     (fun (name, text) ->
-      let expr = Minic.C_parser.parse_expr text in
+      let value =
+        compile_pure (var_reader session) (Minic.C_parser.parse_expr text)
+      in
       Checker.register_sampler chk name (fun () ->
-          Minic.Value.to_bool (eval_pure lookup expr)))
+          Minic.Value.to_bool (value ())))
     config.propositions;
   List.iter
     (fun (name, text) ->

@@ -1,20 +1,31 @@
 (* --- writing -------------------------------------------------------------- *)
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* not [String.exists], whose local loop is a closure allocated per call *)
+let rec clean s i =
+  i >= String.length s || ((not (needs_escape s.[i])) && clean s (i + 1))
+
+(* A clean string is returned as is: the trace writes one member name per
+   sample, so the common case must not allocate. *)
 let escape s =
-  let buffer = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | '\r' -> Buffer.add_string buffer "\\r"
-      | '\t' -> Buffer.add_string buffer "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
+  if clean s 0 then s
+  else begin
+    let buffer = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buffer "\\\""
+        | '\\' -> Buffer.add_string buffer "\\\\"
+        | '\n' -> Buffer.add_string buffer "\\n"
+        | '\r' -> Buffer.add_string buffer "\\r"
+        | '\t' -> Buffer.add_string buffer "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buffer c)
+      s;
+    Buffer.contents buffer
+  end
 
 let string s = "\"" ^ escape s ^ "\""
 
@@ -25,6 +36,19 @@ let obj members =
   ^ "}"
 
 let int = string_of_int
+
+(* The digits come from the non-positive counterpart of [n], which every
+   int has: negating min_int would overflow. *)
+let rec add_nonpositive buffer n =
+  if n <= -10 then add_nonpositive buffer (n / 10);
+  Buffer.add_char buffer (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+let add_int buffer n =
+  if n < 0 then begin
+    Buffer.add_char buffer '-';
+    add_nonpositive buffer n
+  end
+  else add_nonpositive buffer (-n)
 let bool b = if b then "true" else "false"
 
 let float v =

@@ -3,9 +3,9 @@
     [BENCH_campaign.json] trajectory and the report's JSONL rows.
 
     The writers render member values as strings that callers assemble
-    with {!obj} (the hot trace path appends {!escape} output straight
-    into a buffer). The reader parses one complete JSON value; each
-    artifact's reader is a schema check over {!parse}. *)
+    with {!obj} (the hot trace path appends {!escape} and {!add_int}
+    output straight into a buffer). The reader parses one complete JSON
+    value; each artifact's reader is a schema check over {!parse}. *)
 
 (** {2 Writing} *)
 
@@ -13,7 +13,8 @@ val escape : string -> string
 (** Escape for inclusion inside a JSON string literal (no quotes):
     ["\""], ["\\"], ["\n"], ["\r"], ["\t"] get their two-byte escapes,
     other bytes below 0x20 become [\u00XX]; every other byte, including
-    bytes >= 0x80, is copied as is. *)
+    bytes >= 0x80, is copied as is. A string with nothing to escape is
+    returned itself, without allocating. *)
 
 val string : string -> string
 (** Quoted JSON string. *)
@@ -23,6 +24,10 @@ val obj : (string * string) list -> string
 
 val int : int -> string
 val bool : bool -> string
+
+val add_int : Buffer.t -> int -> unit
+(** Append the bytes of {!int} without allocating; exact for every int,
+    [min_int] included. *)
 
 val float : float -> string
 (** [%.6g]; non-finite values render as [null]. *)

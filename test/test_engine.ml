@@ -205,6 +205,80 @@ let test_sinkless_bus_only_counts () =
   Alcotest.(check (list int)) "but counts every event" [ 2; 1; 1 ]
     [ Trace.events bus; Trace.triggers bus; Trace.samples bus ]
 
+(* Textual propositions ([--prop name=expr]) compile once over the
+   session's pre-resolved global readers: a checked trigger allocates at
+   most one minor word — the figure [tcheck verify --approach 2
+   --metrics] prints per trigger checked — and an unknown or array
+   global still fails when it is first sampled, with the backend's own
+   exception. *)
+let loop_source =
+  {|
+    int a;
+    int b;
+    int big[4];
+
+    void main(void) {
+      int i;
+      for (i = 0; i < 20000; i = i + 1) {
+        a = a + 1;
+        b = a - i;
+      }
+    }
+  |}
+
+let loop_session ?(metrics = Obs.Registry.null) propositions =
+  let session =
+    Session.create
+      ~info:(Minic.Typecheck.check (Minic.C_parser.parse loop_source))
+      {
+        Session.default_config with
+        Session.session_name = "loop";
+        propositions;
+        properties =
+          List.map (fun (name, _) -> ("holds_" ^ name, "G " ^ name))
+            propositions;
+        metrics;
+      }
+      Session.Derived_model
+  in
+  Session.boot session;
+  Session.run session;
+  session
+
+let test_textual_propositions () =
+  let metrics = Obs.Registry.create () in
+  let session =
+    loop_session ~metrics
+      [ ("p_count", "a >= 0 && b >= 0"); ("p_step", "b <= 1") ]
+  in
+  let result = Session.result session in
+  List.iter
+    (fun (p : Result.property) ->
+      check_verdict p.Result.property Verdict.Pending p.Result.verdict)
+    result.Result.properties;
+  let total = Obs.Registry.total metrics in
+  let triggers = total "sctc_triggers_total" in
+  let words = total (Obs.Registry.stage_words_name Obs.Registry.Check) in
+  Alcotest.(check bool) "the loop was checked" true (triggers > 20_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 1 minor word per trigger (%d words, %d triggers)"
+       words triggers)
+    true
+    (float_of_int words /. float_of_int triggers <= 1.0);
+  let fails text =
+    match loop_session [ ("p_bad", text) ] with
+    | _ -> "no exception"
+    | exception exn -> Printexc.to_string exn
+  in
+  Alcotest.(check string) "unknown global"
+    {|Invalid_argument("Vm.read_global: unknown nosuch")|}
+    (fails "nosuch == 1");
+  Alcotest.(check string) "array global"
+    {|Invalid_argument("Vm.read_global: array big")|} (fails "big == 1");
+  Alcotest.(check string) "impure expression"
+    {|Failure("propositions must be pure expressions over globals")|}
+    (fails "big[0] == 1")
+
 let suite =
   [
     Alcotest.test_case "approaches agree" `Quick test_approaches_agree;
@@ -216,6 +290,8 @@ let suite =
       test_campaign_trace_events;
     Alcotest.test_case "sinkless bus only counts" `Quick
       test_sinkless_bus_only_counts;
+    Alcotest.test_case "textual propositions compile once" `Quick
+      test_textual_propositions;
   ]
 
 let () = Alcotest.run "engine" [ ("session", suite) ]

@@ -244,6 +244,115 @@ let prop_bench_row_round_trip =
               :: List.map (fun (key, (_, value)) -> (key, value)) members;
           })
 
+(* ---- writers ------------------------------------------------------------ *)
+
+let test_escape () =
+  Alcotest.(check string) "escaped bytes"
+    {|a\"b\\c\nd\re\tf\u0000\u001f|}
+    (Json.escape "a\"b\\c\nd\re\tf\000\x1f");
+  Alcotest.(check string) "bytes >= 0x20 are kept" "\x7f\x80\xff/"
+    (Json.escape "\x7f\x80\xff/");
+  List.iter
+    (fun clean ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S is returned itself" clean)
+        true
+        (Json.escape clean == clean))
+    [ ""; "p_done"; "x > 100 && y"; "\x7f\x80\xff/" ]
+
+let prop_add_int =
+  QCheck.Test.make ~count:2000 ~name:"add_int writes string_of_int's bytes"
+    (QCheck.make ~print:string_of_int gen_int)
+    (fun n ->
+      let buffer = Buffer.create 4 in
+      Buffer.add_char buffer '[';
+      Json.add_int buffer n;
+      Buffer.add_char buffer ']';
+      Buffer.contents buffer = "[" ^ string_of_int n ^ "]")
+
+(* the independent oracle: Json.obj over the event's members *)
+let obj_line (event : Trace.event) =
+  let str = Json.string in
+  let members =
+    match event.Trace.kind with
+    | Trace.Trigger -> []
+    | Trace.Sample { prop; value } ->
+      [ ("prop", str prop); ("value", Json.bool value) ]
+    | Trace.Verdict_change { property; verdict } ->
+      [ ("property", str property);
+        ("verdict", str (Verdict.to_string verdict)) ]
+    | Trace.Handshake_armed { source } -> [ ("source", str source) ]
+    | Trace.Test_case_begin { index; op }
+    | Trace.Watchdog_fired { index; op } ->
+      [ ("index", Json.int index); ("op", str op) ]
+    | Trace.Test_case_end { index; result } ->
+      [ ("index", Json.int index); ("result", Json.option str result) ]
+    | Trace.Software_crashed { reason } -> [ ("reason", str reason) ]
+  in
+  Json.obj
+    (("seq", Json.int event.Trace.seq)
+    :: ("tu", Json.int event.Trace.time_unit)
+    :: ("event", str (Trace.kind_label event.Trace.kind))
+    :: members)
+  ^ "\n"
+
+(* the worker's path: tails rendered by the bus sink (whatever seq the
+   events carry), then numbered from [first_seq] when written *)
+let rendered_lines ~first_seq events =
+  let rendered = Trace.Rendered.create () in
+  let sink = Trace.Rendered.sink rendered in
+  List.iter sink.Trace.on_event events;
+  let buffer = Buffer.create 64 in
+  Buffer.add_string buffer "head\n";
+  Trace.Rendered.add_to_buffer buffer rendered ~first_seq;
+  (Trace.Rendered.lines rendered, Buffer.contents buffer)
+
+let check_three_paths ~first_seq events =
+  let numbered =
+    List.mapi
+      (fun i (event : Trace.event) -> { event with Trace.seq = first_seq + i })
+      events
+  in
+  let into = Buffer.create 64 in
+  Buffer.add_string into "head\n";
+  List.iter
+    (fun event ->
+      Trace.event_to_json_into into event;
+      Buffer.add_char into '\n')
+    numbered;
+  let lines, rendered = rendered_lines ~first_seq events in
+  lines = List.length events
+  && rendered = Buffer.contents into
+  && rendered = "head\n" ^ String.concat "" (List.map obj_line numbered)
+
+let prop_three_paths =
+  QCheck.Test.make ~count:500
+    ~name:"seq+tail lines == event_to_json_into == Json.obj"
+    (QCheck.make
+       ~print:(fun (first_seq, events) ->
+         Printf.sprintf "first_seq %d, %d events: %s" first_seq
+           (List.length events)
+           (String.concat " | " (List.map Trace.event_to_json events)))
+       QCheck.Gen.(pair gen_int (list_size (int_bound 120) gen_event)))
+    (fun (first_seq, events) -> check_three_paths ~first_seq events)
+
+(* lines longer than a chunk get one of their own, between short lines *)
+let test_long_lines () =
+  let long n = Trace.Software_crashed { reason = String.make n '"' } in
+  let events =
+    List.mapi
+      (fun i kind -> { Trace.seq = i; time_unit = i * 7; kind })
+      [ Trace.Trigger; long 70_000; Trace.Trigger; long 200_000; long 10;
+        Trace.Sample { prop = "p"; value = true } ]
+  in
+  List.iter
+    (fun first_seq ->
+      Alcotest.(check bool)
+        (Printf.sprintf "three paths agree from seq %d" first_seq)
+        true
+        (check_three_paths ~first_seq events))
+    [ 0; 41; max_int - 2; min_int ]
+
 let () =
   Alcotest.run "json"
     [
@@ -254,6 +363,13 @@ let () =
           Alcotest.test_case "trace rejects bytes after the object" `Quick
             test_trace_rejects_trailing_bytes;
           Alcotest.test_case "values" `Quick test_values;
+        ] );
+      ( "writers",
+        [
+          Alcotest.test_case "escape" `Quick test_escape;
+          QCheck_alcotest.to_alcotest prop_add_int;
+          QCheck_alcotest.to_alcotest prop_three_paths;
+          Alcotest.test_case "lines longer than a chunk" `Quick test_long_lines;
         ] );
       ( "round trip",
         [

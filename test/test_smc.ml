@@ -442,6 +442,55 @@ let test_runner_sink_failure_resurfaces () =
       true
       (contains "sink failed" && contains "smc sink bomb")
 
+(* the runner's own sinks read results only: without a trace sink no
+   job's bus has a sink (it only counts), and with a JSONL sink added the
+   same campaign streams exactly the collecting run's bytes *)
+let test_runner_sinks_read_results_only () =
+  let sinked = Atomic.make 0 in
+  let job ~index =
+    Campaign.job ~label:(Printf.sprintf "emitting-%d" index) (fun trace ->
+        if Verif.Trace.has_sinks trace then Atomic.incr sinked;
+        Verif.Trace.emit trace
+          (Verif.Trace.Test_case_begin { index; op = "read" });
+        Verif.Trace.emit trace Verif.Trace.Trigger;
+        Verif.Trace.emit trace
+          (Verif.Trace.Sample { prop = "p\"q"; value = index mod 2 = 0 });
+        synthetic_result ~ok:true)
+  in
+  List.iter
+    (fun (name, spec) ->
+      Atomic.set sinked 0;
+      let quiet = Runner.run ~workers:2 ~label:name ~job ~succeeded spec in
+      Alcotest.(check int) (name ^ ": no bus has a sink") 0
+        (Atomic.get sinked);
+      let buffer = Buffer.create 1024 in
+      let traced =
+        Runner.run ~workers:2 ~label:name ~job ~succeeded
+          ~sinks:[ Campaign.jsonl_buffer_sink buffer ] spec
+      in
+      Alcotest.(check int) (name ^ ": same samples") quiet.Runner.samples
+        traced.Runner.samples;
+      (* a sequential run may execute a few jobs past its decision *)
+      let executed =
+        match traced.Runner.stream with
+        | Some stats -> stats.Campaign.emitted
+        | None -> Alcotest.fail "stream stats missing"
+      in
+      Alcotest.(check int) (name ^ ": every traced bus has a sink") executed
+        (Atomic.get sinked);
+      let collected =
+        Campaign.run ~workers:1 (List.init executed (fun index -> job ~index))
+      in
+      Alcotest.(check string) (name ^ ": streamed bytes == collected merge")
+        (Campaign.to_jsonl collected) (Buffer.contents buffer))
+    [
+      ("fixed", Runner.Fixed { eps = 0.4; delta = 0.4 });
+      ( "sequential",
+        Runner.Sequential
+          { theta = 0.5; delta = 0.1; alpha = 0.05; beta = 0.05;
+            max_samples = None } );
+    ]
+
 (* ---- end to end over the real fault-injected EEE campaigns --------------- *)
 
 let eee_plan ~op ~bound ~faults ~seed =
@@ -582,6 +631,8 @@ let () =
             test_runner_counts_crashes_as_failures;
           Alcotest.test_case "sink failure resurfaces despite cancel" `Quick
             test_runner_sink_failure_resurfaces;
+          Alcotest.test_case "result-only sinks leave buses sinkless" `Quick
+            test_runner_sinks_read_results_only;
         ] );
       ( "eee",
         Alcotest.test_case "SPRT early-stops on the real campaign" `Quick

@@ -122,7 +122,7 @@ let oracle jobs =
     in
     Trace.close bus;
     { Campaign.index; label = job.Campaign.label; result;
-      events = buffered () }
+      events = buffered (); jsonl = None; first_seq = 0 }
   in
   {
     Campaign.outcomes = List.mapi outcome jobs;
@@ -239,6 +239,79 @@ let test_tiny_window_identity () =
     (fun workers ->
       ignore (check_identical ~workers ~chunk:1 ~window:1 fixed_mix))
     [ 2; 4; 7 ]
+
+(* ---- events and bytes sinks side by side -------------------------------- *)
+
+(* a job that traces, then crashes: its lines still reach the sinks *)
+let late_crash_job index =
+  Campaign.job ~label:(Printf.sprintf "late-crash-%d" index) (fun trace ->
+      Trace.emit trace (Trace.Handshake_armed { source = "late \"crash\"" });
+      Trace.emit trace Trace.Trigger;
+      failwith "late boom")
+
+let late_crash_mix () =
+  List.mapi
+    (fun index variant ->
+      if variant < 0 then late_crash_job index
+      else job_of_variant index variant)
+    [ 0; 4; -1; 1; 2; 3; -1; 0 ]
+
+(* An events sink (rendering the events itself), a bytes sink, and a
+   bytes sink called from inside an events sink (campaign_bench's traced
+   file sink) all write the oracle's bytes; the wrapped one gets the
+   worker-rendered lines. Called directly on collected outcomes, which
+   carry events only, a bytes sink renders those events. *)
+let test_events_and_bytes_sinks () =
+  let expected = Campaign.to_jsonl (oracle (late_crash_mix ())) in
+  List.iter
+    (fun workers ->
+      let tag = Printf.sprintf "workers=%d: %s" workers in
+      let from_events = Buffer.create 4096 in
+      let events_sink =
+        Campaign.sink (fun outcome ->
+            List.iter
+              (fun event ->
+                Buffer.add_string from_events (Trace.event_to_json event);
+                Buffer.add_char from_events '\n')
+              outcome.Campaign.events)
+      in
+      let bytes = Buffer.create 4096 in
+      let wrapped = Buffer.create 4096 in
+      let inner = Campaign.jsonl_buffer_sink wrapped in
+      let rendered = ref 0 in
+      let wrapping_sink =
+        Campaign.sink (fun outcome ->
+            if outcome.Campaign.jsonl <> None then incr rendered;
+            inner.Campaign.on_outcome outcome)
+      in
+      let summary =
+        Campaign.run_stream ~workers ~chunk:1
+          ~sinks:
+            [ events_sink; Campaign.jsonl_buffer_sink bytes; wrapping_sink ]
+          (late_crash_mix ())
+      in
+      Alcotest.(check (list string)) (tag "crashed jobs")
+        [ "crash-1"; "late-crash-2"; "late-crash-6" ]
+        (List.map fst (Campaign.errors summary));
+      Alcotest.(check string) (tag "events sink == oracle to_jsonl") expected
+        (Buffer.contents from_events);
+      Alcotest.(check string) (tag "bytes sink == oracle to_jsonl") expected
+        (Buffer.contents bytes);
+      Alcotest.(check string) (tag "wrapped bytes sink == oracle to_jsonl")
+        expected (Buffer.contents wrapped);
+      Alcotest.(check int) (tag "every outcome arrived rendered") 8 !rendered;
+      let collected = Campaign.run ~workers (late_crash_mix ()) in
+      Alcotest.(check bool) (tag "collected outcomes carry events only") true
+        (List.for_all
+           (fun o -> o.Campaign.jsonl = None)
+           collected.Campaign.outcomes);
+      let direct = Buffer.create 4096 in
+      List.iter
+        (Campaign.jsonl_buffer_sink direct).Campaign.on_outcome
+        collected.Campaign.outcomes;
+      Alcotest.(check string) (tag "bytes sink on collected outcomes") expected
+        (Buffer.contents direct))
+    [ 1; 2 ]
 
 (* ---- QCheck: random mixes x pools x windows ----------------------------- *)
 
@@ -785,6 +858,8 @@ let () =
             test_stream_matches_oracle;
           Alcotest.test_case "window=1 changes scheduling only" `Quick
             test_tiny_window_identity;
+          Alcotest.test_case "events and bytes sinks side by side" `Quick
+            test_events_and_bytes_sinks;
           QCheck_alcotest.to_alcotest qcheck_differential;
         ] );
       ( "retention",
